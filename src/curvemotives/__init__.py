@@ -32,6 +32,7 @@ from .realization import (
     hodge_polynomial,
     key_identity_sides,
     macdonald_oracle,
+    macdonald_series,
     poincare_polynomial,
     render_hodge_diamond,
     verify_key_identity,
@@ -58,6 +59,7 @@ __all__ = [
     "lambda_h1",
     "lefschetz",
     "macdonald_oracle",
+    "macdonald_series",
     "moduli_motive_conjectural",
     "moduli_motive_delbano",
     "parse",

@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import (
+    BasisKey,
     MotiveClass,
     _check_genus,
     direct_sum,
@@ -50,11 +51,11 @@ def sym_power_curve(n: int, genus: int) -> MotiveClass:
     if n < 0:
         raise ValueError(f"symmetric power must be >= 0, got {n}")
     terms = {
-        (b, c): 1
+        BasisKey(b, c): 1
         for b in range(0, min(n, 2 * genus) + 1)
         for c in range(0, n - b + 1)
     }
-    return MotiveClass(genus, terms)
+    return MotiveClass._from_clean(genus, terms)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,9 @@ Two oracles that never touch the motive algebra validate the theorem-level
 constructors: the Atiyah-Bott closed form for the Poincare polynomial of
 the moduli space (exact long division, zero remainder required) and
 Macdonald's generating function for symmetric powers of the curve
-(truncated power-series expansion).  Agreement with the realized motives
-is evidence, not tautology.
+(Macdonald, Topology 1, 1962), expanded by the three-term recurrence that
+its denominator gives.  Agreement with the realized motives is evidence,
+not tautology.
 """
 
 from __future__ import annotations
@@ -96,36 +97,40 @@ def atiyah_bott_oracle(genus: int) -> IntPolynomial:
     return quotient
 
 
-def macdonald_oracle(n: int, genus: int) -> IntPolynomial:
-    """Coefficient of x^n in the series (1+tx)^2g / ((1-x)(1-t^2 x)).
+def macdonald_series(genus: int, order: int) -> list:
+    """Coefficients f_0..f_order of x^n in (1+tx)^2g / ((1-x)(1-t^2 x)).
 
-    Expands the product of the three factors as a power series truncated
-    at order n, with IntPolynomial coefficients in t throughout.
+    Macdonald's generating function for the Poincare polynomials of the
+    symmetric powers of a genus-g curve (I. G. Macdonald, "Symmetric
+    products of an algebraic curve", Topology 1, 1962).  Multiplying the
+    series through by its denominator 1 - (1+t^2) x + t^2 x^2 gives the
+    three-term recurrence
+
+        f_n = (1+t^2) f_(n-1) - t^2 f_(n-2) + C(2g, n) t^n,
+
+    with f_(-1) = f_(-2) = 0 and C(2g, n) = 0 for n > 2g (``math.comb``
+    returns 0 there), so one pass yields the whole prefix.  Only
+    IntPolynomial arithmetic and binomials are used, never the motive
+    algebra.  Raises ValueError for a genus below 2 or an order below 0.
     """
     _check_genus(genus)
-    if n < 0:
-        raise ValueError(f"symmetric power must be >= 0, got {n}")
-    binomial_factor = [
-        IntPolynomial.monomial(a, comb(2 * genus, a)) if a <= 2 * genus else IntPolynomial.zero()
-        for a in range(n + 1)
-    ]
-    geometric_ones = [IntPolynomial.one() for _ in range(n + 1)]
-    geometric_t2 = [IntPolynomial.monomial(2 * k) for k in range(n + 1)]
-    series = _convolve_truncated(binomial_factor, geometric_ones, n)
-    series = _convolve_truncated(series, geometric_t2, n)
-    return series[n]
+    if order < 0:
+        raise ValueError(f"symmetric power must be >= 0, got {order}")
+    t2 = IntPolynomial.monomial(2)
+    one_plus_t2 = IntPolynomial.one() + t2
+    series: list = []
+    prev2 = prev = IntPolynomial.zero()
+    for n in range(order + 1):
+        current = one_plus_t2 * prev - t2 * prev2 + IntPolynomial.monomial(n, comb(2 * genus, n))
+        series.append(current)
+        prev2, prev = prev, current
+    return series
 
 
-def _convolve_truncated(a: list, b: list, order: int) -> list:
-    out = []
-    for i in range(order + 1):
-        acc: dict = {}
-        for j in range(i + 1):
-            for e1, c1 in a[j].items():
-                for e2, c2 in b[i - j].items():
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        out.append(IntPolynomial({e: c for e, c in acc.items() if c}))
-    return out
+def macdonald_oracle(n: int, genus: int) -> IntPolynomial:
+    """Coefficient of x^n in the series (1+tx)^2g / ((1-x)(1-t^2 x)),
+    i.e. ``macdonald_series(genus, n)[n]``."""
+    return macdonald_series(genus, n)[n]
 
 
 @dataclass(frozen=True)

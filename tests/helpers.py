@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import hypothesis.strategies as st
 
@@ -192,3 +193,32 @@ def brute_force_sym_terms(n: int, genus: int) -> dict:
                 continue
             terms[(b, c)] = terms.get((b, c), 0) + 1
     return terms
+
+
+# --- independent expansion oracle for the Macdonald series -------------------
+
+def truncated_macdonald(n: int, genus: int) -> IntPolynomial:
+    """Coefficient of x^n in (1+tx)^2g / ((1-x)(1-t^2 x)), by expanding the
+    three factors as power series in x truncated at order n and convolving
+    them; no recurrence and no motive algebra."""
+    binomial_factor = [
+        IntPolynomial.monomial(a, comb(2 * genus, a)) if a <= 2 * genus else IntPolynomial.zero()
+        for a in range(n + 1)
+    ]
+    geometric_ones = [IntPolynomial.one() for _ in range(n + 1)]
+    geometric_t2 = [IntPolynomial.monomial(2 * k) for k in range(n + 1)]
+    series = _convolve_truncated(binomial_factor, geometric_ones, n)
+    series = _convolve_truncated(series, geometric_t2, n)
+    return series[n]
+
+
+def _convolve_truncated(a: list, b: list, order: int) -> list:
+    out = []
+    for i in range(order + 1):
+        acc: dict = {}
+        for j in range(i + 1):
+            for e1, c1 in a[j].items():
+                for e2, c2 in b[i - j].items():
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        out.append(IntPolynomial({e: c for e, c in acc.items() if c}))
+    return out

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from curvemotives import (
+    BasisKey,
     MotiveClass,
     direct_sum,
     lambda_coefficient,
@@ -39,7 +40,9 @@ def test_sym_power_two_keys():
 @pytest.mark.parametrize("genus", [2, 3, 5])
 def test_sym_power_matches_triple_enumeration(genus):
     for n in range(0, 2 * genus + 3):
-        assert sym_power_curve(n, genus) == MotiveClass(genus, brute_force_sym_terms(n, genus))
+        motive = sym_power_curve(n, genus)
+        assert motive == MotiveClass(genus, brute_force_sym_terms(n, genus))
+        assert all(type(key) is BasisKey for key, _ in motive.items())
 
 
 def test_sym_power_negative_rejected():

@@ -14,6 +14,7 @@ from curvemotives import (
     lambda_h1,
     lefschetz,
     macdonald_oracle,
+    macdonald_series,
     moduli_motive_delbano,
     poincare_polynomial,
     render_hodge_diamond,
@@ -22,7 +23,7 @@ from curvemotives import (
     verify_key_identity,
 )
 from curvemotives.polynomials import BiPolynomial, IntPolynomial
-from helpers import motive_pairs, motives, mutated_identity_lhs
+from helpers import motive_pairs, motives, mutated_identity_lhs, truncated_macdonald
 
 AB_G2 = IntPolynomial({0: 1, 2: 1, 3: 4, 4: 1, 6: 1})
 # frozen from an independent computer-algebra expansion of the closed form
@@ -160,6 +161,39 @@ def test_macdonald_first_coefficients():
 def test_macdonald_matches_sym_realization(genus):
     for n in range(0, 2 * genus + 1):
         assert macdonald_oracle(n, genus) == poincare_polynomial(sym_power_curve(n, genus))
+
+
+@pytest.mark.parametrize("genus", range(2, 9))
+def test_macdonald_series_matches_truncated_expansion(genus):
+    order = 2 * genus + 3
+    series = macdonald_series(genus, order)
+    assert len(series) == order + 1
+    assert series == [truncated_macdonald(n, genus) for n in range(order + 1)]
+
+
+@pytest.mark.parametrize("genus", [2, 5, 11])
+def test_macdonald_series_prefix_and_oracle(genus):
+    for k in range(0, 2 * genus + 2):
+        short = macdonald_series(genus, k)
+        assert short == macdonald_series(genus, k + 5)[: k + 1]
+        assert macdonald_oracle(k, genus) == short[k]
+
+
+def test_macdonald_error_paths():
+    with pytest.raises(ValueError):
+        macdonald_oracle(-1, 2)
+    with pytest.raises(ValueError):
+        macdonald_oracle(0, 1)
+    with pytest.raises(ValueError):
+        macdonald_series(1, 3)
+    with pytest.raises(ValueError):
+        macdonald_series(2, -1)
+
+
+def test_macdonald_series_genus_100_spot_check():
+    series = macdonald_series(100, 201)
+    for n in (0, 1, 99, 100, 101, 199, 200, 201):
+        assert series[n] == poincare_polynomial(sym_power_curve(n, 100))
 
 
 # --- block decomposition --------------------------------------------------------
