@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -270,3 +271,87 @@ def test_missing_genus_exits_2(capsys):
 def test_invalid_jobs_exits_2(capsys):
     code, _, _ = run(capsys, "equal", "--genus", "2", "--jobs", "0", "M", "M")
     assert code == 2
+
+
+# Exit code and stdout SHA-256 per format, recorded before the render path was
+# unified; any byte of difference in any format fails here.
+GOLDEN = {
+    ("eval", "--genus", "3", "M + Sym(2) * L"): (0, {
+        "text": "b61d51d9d4643d7121ac7acd86dfcea8a69b09fa55b00e26bbd7d0ff6944d695",
+        "json": "9e4e65fc609bf5703188dd5e81552ff455d7ac3947fe6f5fcba8bbe626eb45cf",
+        "csv": "602f385e91ee246f45c69d9b16b367ea3083436f876080400da69c944604b63c",
+    }),
+    ("equal", "--genus-min", "2", "--genus-max", "4", "M", "Mconj"): (0, {
+        "text": "66d44786dc9344c8e5021d056b32677b016e71095b830f95df645e0f98103fa6",
+        "json": "5864cdb7c70434aaa49542be67b6b7f7a5d8893aab319147da0e9dd8bb74b4bf",
+        "csv": "2534e634a0a496d9c8ebcf39161d1877322cad607b55a74e7f049d36839451b5",
+    }),
+    # lam(5) vanishes at genus 2 only: a NOT EQUAL diff with an equal genus in it
+    ("equal", "--genus-min", "2", "--genus-max", "3", "1 + lam(5)", "1"): (1, {
+        "text": "5af1615fd6fa5cd19c3b14b045a8b963a9d02963df4fa9f18fd4e647b51ae149",
+        "json": "f8c0b9bc948bbff8356d366a3c57d1605edfb4d99b273f31f86d98f0de7dced2",
+        "csv": "cf9419084a8a6064c74faa5cc609db9262ef7efe3e5eb4cfa8794c60fd8314ef",
+    }),
+    ("verify-theorem", "--genus-min", "2", "--genus-max", "4", "--jobs", "2"): (0, {
+        "text": "f116f9b6e6870507110c531e5872d8292c239e10bdd0537b4a67c1b4695df040",
+        "json": "dda8b68f51a37db979720558855ce45c3504f2e430f30c9a7bca82eb8da44488",
+        "csv": "4f07aaf8336826606c863bcfb1dda058bac9780f56cf3fcdcd89c713325ed200",
+    }),
+    ("identity", "--m-min", "1", "--m-max", "6"): (0, {
+        "text": "e01cdf68d3ac214d308b90e677add813216016bda235dc240e2652ff61366531",
+        "json": "3b6e67c012d97fae8a0b5bee3b26d27d7188a93e6dea538b3c7c7ede0775d8c9",
+        "csv": "93cf1528cfe5b3ee3598e8b172c5f5d388405cfada076c264294acabcae82fd9",
+    }),
+    ("poincare", "--genus", "3", "M"): (0, {
+        "text": "edfcc5b8fb1312aab58925e32e14f6e086949b4326f3982580566959de9bdf09",
+        "json": "0abdcc9bd54ac064b82410e7080349290e2654a9b61c4253853268a046f86bb8",
+        "csv": "4341e215752a5659c1b848a6eb56f34a8dc415fddf67c573887a5cd0c0b4ba69",
+    }),
+    ("hodge", "--genus", "3", "M"): (0, {
+        "text": "1666b6b31dae84ad31063e0a7132d6af48f2d627149d8b3d571f9da81d974994",
+        "json": "fde547a29cffa97cb21a061ddae0cb7f25292756de8c9d260e3b8d175021cdf8",
+        "csv": "bf1072d7149930cfe0eba297c1f716c7f85e22761a11385ff7d3c74755ea686f",
+    }),
+    ("hodge", "--genus", "3", "M", "--diamond"): (0, {
+        "text": "1293fcf6e113a7b3a8270073e5a26522c2e3075c6c3def99ddc9bc261b5ccb8b",
+        "json": "64dd181e8d9ac91f06198746770c76950a8d15cf814bdfb0b2d52e6faadfbfc8",
+        "csv": "bf1072d7149930cfe0eba297c1f716c7f85e22761a11385ff7d3c74755ea686f",
+    }),
+    ("decompose", "--genus", "3"): (0, {
+        "text": "308ac65e372aee39fe0ba4d7918d23b21a37de67f6d88fcf108967f7878d858f",
+        "json": "d60db41f9c64588b5384b231f7ee39828dff9abecd54bd755f5b7f52074f97a2",
+        "csv": "ed9d91140484f6f6ba974ef600764667b9d2a84e9bd16b444de63690cbf3ec71",
+    }),
+    ("decompose", "--genus-min", "2", "--genus-max", "4", "--jobs", "2"): (0, {
+        "text": "f8574c532afd329901a17c052985ec38803b52c978dd51b43a84155a57bb253b",
+        "json": "db6c689bacc9ffaa5b4eb2ad340e3c1d0e25007545ca56f66148d2923c2a9f25",
+        "csv": "fcba28325469311ebc33e0a30cfd4cff9527475b35dc5de92eaa05ac140c5634",
+    }),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_golden_stdout_digest(capsys, argv, fmt):
+    expected_code, digests = GOLDEN[argv]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, _sha256(out), err) == (expected_code, digests[fmt], "")
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [
+        (("decompose", "--genus-min", "2", "--genus-max", "4", "--jobs", "2"), "csv"),
+        (("identity", "--m-min", "1", "--m-max", "6"), "text"),
+    ],
+)
+def test_out_file_matches_golden_stdout(tmp_path, capsys, argv, fmt):
+    target = tmp_path / f"result.{fmt}"
+    expected_code, digests = GOLDEN[argv]
+    code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(target))
+    assert (code, out, err) == (expected_code, "", "")
+    assert _sha256(target.read_text(encoding="utf-8")) == digests[fmt]
