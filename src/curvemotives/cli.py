@@ -5,9 +5,9 @@ decompose.  Results go to stdout (or --out PATH), diagnostics to stderr.
 Exit codes: 0 success / all checks pass, 1 a checked statement is false,
 2 usage or expression parse error, 3 evaluation error.
 
-Output is deterministic: identical inputs produce byte-identical output
-regardless of --jobs, because per-parameter work is fanned out to threads
-over immutable values and reassembled in ascending parameter order.
+Output is deterministic: every command computes its results serially in
+ascending parameter order, so identical inputs produce byte-identical
+output.  --jobs is accepted and validated but changes nothing.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import dsl
-from .core import MotiveClass, NonTateTensor
+from .core import MotiveClass
 from .formulas import (
     moduli_motive_conjectural,
     moduli_motive_delbano,
@@ -72,7 +71,7 @@ def _add_genus_range(parser: argparse.ArgumentParser) -> None:
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker threads for per-parameter fan-out")
+                        help="accepted for compatibility (N >= 1); work runs serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,38 +156,33 @@ def _check_single_genus(args: argparse.Namespace) -> int:
     return args.genus
 
 
-def _check_jobs(args: argparse.Namespace) -> int:
+def _check_jobs(args: argparse.Namespace) -> None:
     if args.jobs < 1:
         args.parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    return args.jobs
 
 
-def _map_ordered(fn, items, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _render(args: argparse.Namespace, text, obj, header, rows) -> None:
+    """Write a result to stdout, or to ``--out PATH``, in ``--format``.
 
-
-def _emit(payload: str, out_path) -> None:
-    if out_path is None:
+    ``text`` returns the text without its final newline, ``obj`` the value
+    for one compact JSON line and ``rows`` the CSV rows under ``header``.
+    The three are callables and only the one for the requested format runs.
+    """
+    if args.format == "text":
+        payload = text() + "\n"
+    elif args.format == "json":
+        payload = json.dumps(obj(), separators=(",", ":")) + "\n"
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows())
+        payload = buffer.getvalue()
+    if args.out is None:
         sys.stdout.write(payload)
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
-
-
-def _csv_payload(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 # --- eval -----------------------------------------------------------------
@@ -196,24 +190,22 @@ def _csv_payload(header, rows) -> str:
 def cmd_eval(args: argparse.Namespace) -> int:
     genus = _check_single_genus(args)
     motive = dsl.evaluate(dsl.parse(args.expr), genus)
-    if args.format == "text":
-        payload = str(motive) + "\n"
-    elif args.format == "json":
-        payload = motive.to_json() + "\n"
-    else:
-        rows = [
-            (key.lambda_index, key.lefschetz_power, str(mult))
-            for key, mult in motive.items()
-        ]
-        payload = _csv_payload(("lambda", "lefschetz", "mult"), rows)
-    _emit(payload, args.out)
+    _render(
+        args,
+        text=lambda: str(motive),
+        obj=motive.to_dict,
+        header=("lambda", "lefschetz", "mult"),
+        rows=lambda: (
+            (key.lambda_index, key.lefschetz_power, str(mult)) for key, mult in motive.items()
+        ),
+    )
     return EXIT_OK
 
 
 # --- equal ----------------------------------------------------------------
 
 def _diff_terms(a: MotiveClass, b: MotiveClass) -> list:
-    keys = sorted(set(dict(a.items())) | set(dict(b.items())))
+    keys = sorted(set(a) | set(b))
     return [
         (key, a.multiplicity(key), b.multiplicity(key))
         for key in keys
@@ -221,37 +213,32 @@ def _diff_terms(a: MotiveClass, b: MotiveClass) -> list:
     ]
 
 
+def _not_equal_text(results) -> str:
+    lines = ["NOT EQUAL"]
+    for genus, diff in results:
+        lines.append(f"genus {genus}: {'differs' if diff else 'equal'}")
+        for key, m_left, m_right in diff:
+            lines.append(
+                f"  lambda={key.lambda_index} lefschetz={key.lefschetz_power}: "
+                f"left={m_left} right={m_right}"
+            )
+    return "\n".join(lines)
+
+
 def cmd_equal(args: argparse.Namespace) -> int:
     lo, hi = _resolve_genus_range(args)
-    jobs = _check_jobs(args)
+    _check_jobs(args)
     left = dsl.parse(args.expr1)
     right = dsl.parse(args.expr2)
-
-    def compare(genus: int):
-        diff = _diff_terms(dsl.evaluate(left, genus), dsl.evaluate(right, genus))
-        return genus, diff
-
-    results = _map_ordered(compare, range(lo, hi + 1), jobs)
+    results = [
+        (genus, _diff_terms(dsl.evaluate(left, genus), dsl.evaluate(right, genus)))
+        for genus in range(lo, hi + 1)
+    ]
     all_equal = all(not diff for _, diff in results)
-
-    if args.format == "text":
-        if all_equal:
-            payload = "EQUAL\n"
-        else:
-            lines = ["NOT EQUAL"]
-            for genus, diff in results:
-                if not diff:
-                    lines.append(f"genus {genus}: equal")
-                    continue
-                lines.append(f"genus {genus}: differs")
-                for key, m_left, m_right in diff:
-                    lines.append(
-                        f"  lambda={key.lambda_index} lefschetz={key.lefschetz_power}: "
-                        f"left={m_left} right={m_right}"
-                    )
-            payload = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        payload = _json_line({
+    _render(
+        args,
+        text=lambda: "EQUAL" if all_equal else _not_equal_text(results),
+        obj=lambda: {
             "equal": all_equal,
             "results": [
                 {
@@ -269,23 +256,20 @@ def cmd_equal(args: argparse.Namespace) -> int:
                 }
                 for genus, diff in results
             ],
-        })
-    else:
-        rows = [(genus, str(not diff).lower()) for genus, diff in results]
-        payload = _csv_payload(("genus", "equal"), rows)
-    _emit(payload, args.out)
+        },
+        header=("genus", "equal"),
+        rows=lambda: ((genus, str(not diff).lower()) for genus, diff in results),
+    )
     return EXIT_OK if all_equal else EXIT_FALSE
 
 
 # --- verify-theorem -------------------------------------------------------
 
-_CHECK_NAMES = ("main_equality", "proof_chain", "atiyah_bott", "macdonald")
-
-
 def _verify_genus(genus: int) -> tuple:
     """Run the four check categories at one genus.
 
-    Returns (genus, {check: bool}, {check: first failing index}).
+    Returns (genus, {check: "pass" or "fail"}, {check: first failing index}),
+    the checks in the order main_equality, proof_chain, atiyah_bott, macdonald.
     """
     checks = {}
     detail = {}
@@ -313,95 +297,88 @@ def _verify_genus(genus: int) -> tuple:
     if bad_n is not None:
         detail["macdonald"] = bad_n
 
-    return genus, checks, detail
+    return genus, {name: "pass" if ok else "fail" for name, ok in checks.items()}, detail
 
 
 def _first_failure(results) -> dict | None:
     for genus, checks, detail in results:
-        for name in _CHECK_NAMES:
-            if not checks[name]:
+        for name, verdict in checks.items():
+            if verdict == "fail":
                 return {"genus": genus, "check": name, "index": detail.get(name)}
     return None
 
 
+def _verify_text(results, failure, lo: int, hi: int) -> str:
+    lines = [
+        f"g={genus}: " + " ".join(f"{name}={verdict}" for name, verdict in checks.items())
+        for genus, checks, _ in results
+    ]
+    if failure is None:
+        lines.append(f"all checks passed for genus {lo}..{hi}")
+    else:
+        where = "" if failure["index"] is None else f" at index {failure['index']}"
+        lines.append(f"FAILED: g={failure['genus']} check={failure['check']}{where}")
+    return "\n".join(lines)
+
+
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
     lo, hi = _resolve_genus_range(args)
-    jobs = _check_jobs(args)
-    results = _map_ordered(_verify_genus, range(lo, hi + 1), jobs)
+    _check_jobs(args)
+    results = [_verify_genus(genus) for genus in range(lo, hi + 1)]
     failure = _first_failure(results)
-
-    if args.format == "text":
-        lines = []
-        for genus, checks, _ in results:
-            status = " ".join(
-                f"{name}={'pass' if checks[name] else 'fail'}" for name in _CHECK_NAMES
-            )
-            lines.append(f"g={genus}: {status}")
-        if failure is None:
-            lines.append(f"all checks passed for genus {lo}..{hi}")
-        else:
-            where = "" if failure["index"] is None else f" at index {failure['index']}"
-            lines.append(
-                f"FAILED: g={failure['genus']} check={failure['check']}{where}"
-            )
-        payload = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        payload = _json_line({
+    _render(
+        args,
+        text=lambda: _verify_text(results, failure, lo, hi),
+        obj=lambda: {
             "genus_min": lo,
             "genus_max": hi,
             "results": [
-                {
-                    "genus": genus,
-                    "checks": {
-                        name: "pass" if checks[name] else "fail" for name in _CHECK_NAMES
-                    },
-                }
-                for genus, checks, _ in results
+                {"genus": genus, "checks": checks} for genus, checks, _ in results
             ],
             "all_pass": failure is None,
             "first_failure": failure,
-        })
-    else:
-        rows = [
-            (genus, name, "pass" if checks[name] else "fail")
+        },
+        header=("genus", "check", "result"),
+        rows=lambda: (
+            (genus, name, verdict)
             for genus, checks, _ in results
-            for name in _CHECK_NAMES
-        ]
-        payload = _csv_payload(("genus", "check", "result"), rows)
-    _emit(payload, args.out)
+            for name, verdict in checks.items()
+        ),
+    )
     return EXIT_OK if failure is None else EXIT_FALSE
 
 
 # --- identity -------------------------------------------------------------
+
+def _identity_text(results, first_bad, m_min: int, m_max: int) -> str:
+    lines = [
+        f"m={m}: ok  both sides: {lhs}" if ok else f"m={m}: FAIL  lhs: {lhs}  rhs: {rhs}"
+        for m, lhs, rhs, ok in results
+    ]
+    if first_bad is None:
+        lines.append(f"identity holds for m={m_min}..{m_max}")
+    else:
+        lines.append(f"FAILED at m={first_bad}")
+    return "\n".join(lines)
+
 
 def cmd_identity(args: argparse.Namespace) -> int:
     if args.m_min < 1 or args.m_max < args.m_min:
         args.parser.error(
             f"m range must satisfy 1 <= min <= max, got {args.m_min}..{args.m_max}"
         )
-    jobs = _check_jobs(args)
+    _check_jobs(args)
 
     def check(m: int):
         lhs, rhs = key_identity_sides(m)
         return m, lhs, rhs, lhs == rhs
 
-    results = _map_ordered(check, range(args.m_min, args.m_max + 1), jobs)
+    results = [check(m) for m in range(args.m_min, args.m_max + 1)]
     first_bad = next((m for m, _, _, ok in results if not ok), None)
-
-    if args.format == "text":
-        lines = []
-        for m, lhs, rhs, ok in results:
-            if ok:
-                lines.append(f"m={m}: ok  both sides: {lhs}")
-            else:
-                lines.append(f"m={m}: FAIL  lhs: {lhs}  rhs: {rhs}")
-        if first_bad is None:
-            lines.append(f"identity holds for m={args.m_min}..{args.m_max}")
-        else:
-            lines.append(f"FAILED at m={first_bad}")
-        payload = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        payload = _json_line({
+    _render(
+        args,
+        text=lambda: _identity_text(results, first_bad, args.m_min, args.m_max),
+        obj=lambda: {
             "m_min": args.m_min,
             "m_max": args.m_max,
             "results": [
@@ -409,11 +386,10 @@ def cmd_identity(args: argparse.Namespace) -> int:
                 for m, lhs, rhs, ok in results
             ],
             "all_pass": first_bad is None,
-        })
-    else:
-        rows = [(m, str(ok).lower()) for m, _, _, ok in results]
-        payload = _csv_payload(("m", "ok"), rows)
-    _emit(payload, args.out)
+        },
+        header=("m", "ok"),
+        rows=lambda: ((m, str(ok).lower()) for m, _, _, ok in results),
+    )
     return EXIT_OK if first_bad is None else EXIT_FALSE
 
 
@@ -422,37 +398,39 @@ def cmd_identity(args: argparse.Namespace) -> int:
 def cmd_poincare(args: argparse.Namespace) -> int:
     genus = _check_single_genus(args)
     poly = poincare_polynomial(dsl.evaluate(dsl.parse(args.expr), genus))
-    if args.format == "text":
-        payload = str(poly) + "\n"
-    elif args.format == "json":
-        payload = _json_line({
+    _render(
+        args,
+        text=lambda: str(poly),
+        obj=lambda: {
             "variable": "t",
             "terms": [[degree, str(coeff)] for degree, coeff in poly.items()],
-        })
-    else:
-        rows = [(degree, str(coeff)) for degree, coeff in poly.items()]
-        payload = _csv_payload(("degree", "coeff"), rows)
-    _emit(payload, args.out)
+        },
+        header=("degree", "coeff"),
+        rows=lambda: ((degree, str(coeff)) for degree, coeff in poly.items()),
+    )
     return EXIT_OK
+
+
+def _hodge_obj(poly, diamond: bool) -> dict:
+    obj = {
+        "variables": ["u", "v"],
+        "terms": [[p, q, str(coeff)] for (p, q), coeff in poly.items()],
+    }
+    if diamond:
+        obj["diamond"] = [[str(v) for v in row] for row in hodge_diamond_rows(poly)]
+    return obj
 
 
 def cmd_hodge(args: argparse.Namespace) -> int:
     genus = _check_single_genus(args)
     poly = hodge_polynomial(dsl.evaluate(dsl.parse(args.expr), genus))
-    if args.format == "text":
-        payload = (render_hodge_diamond(poly) if args.diamond else str(poly)) + "\n"
-    elif args.format == "json":
-        obj = {
-            "variables": ["u", "v"],
-            "terms": [[p, q, str(coeff)] for (p, q), coeff in poly.items()],
-        }
-        if args.diamond:
-            obj["diamond"] = [[str(v) for v in row] for row in hodge_diamond_rows(poly)]
-        payload = _json_line(obj)
-    else:
-        rows = [(p, q, str(coeff)) for (p, q), coeff in poly.items()]
-        payload = _csv_payload(("p", "q", "coeff"), rows)
-    _emit(payload, args.out)
+    _render(
+        args,
+        text=lambda: render_hodge_diamond(poly) if args.diamond else str(poly),
+        obj=lambda: _hodge_obj(poly, args.diamond),
+        header=("p", "q", "coeff"),
+        rows=lambda: ((p, q, str(coeff)) for (p, q), coeff in poly.items()),
+    )
     return EXIT_OK
 
 
@@ -474,25 +452,20 @@ def _block_table(report) -> str:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     lo, hi = _resolve_genus_range(args)
-    jobs = _check_jobs(args)
-    reports = _map_ordered(block_decomposition_report, range(lo, hi + 1), jobs)
-
-    if args.format == "text":
-        payload = "\n\n".join(_block_table(report) for report in reports) + "\n"
-    elif args.format == "json":
-        if lo == hi:
-            payload = _json_line(reports[0].to_dict())
-        else:
-            payload = _json_line([report.to_dict() for report in reports])
-    else:
-        rows = [
+    _check_jobs(args)
+    reports = [block_decomposition_report(genus) for genus in range(lo, hi + 1)]
+    _render(
+        args,
+        text=lambda: "\n\n".join(_block_table(report) for report in reports),
+        obj=lambda: reports[0].to_dict() if lo == hi else [r.to_dict() for r in reports],
+        header=("genus", "sym_power", "twist", "p", "q", "coeff"),
+        rows=lambda: (
             (report.genus, block.sym_power, block.twist, p, q, str(coeff))
             for report in reports
             for block in report.blocks
             for (p, q), coeff in block.hodge.items()
-        ]
-        payload = _csv_payload(("genus", "sym_power", "twist", "p", "q", "coeff"), rows)
-    _emit(payload, args.out)
+        ),
+    )
     return EXIT_OK
 
 
@@ -510,16 +483,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # parser.error inside a handler
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except dsl.ParseError as exc:
+    except (dsl.ParseError, OSError) as exc:  # ParseError is a ValueError: caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonTateTensor as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
-    except (ValueError, ArithmeticError) as exc:
+    # NonTateTensor is a ValueError; RecursionError comes from expressions
+    # nested or chained too deeply for the recursive parser and evaluator.
+    except (ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
 

@@ -60,7 +60,12 @@ class MotiveClass:
         accumulated: dict[BasisKey, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw_key, mult in items:
-            key = BasisKey(*raw_key)
+            try:
+                key = BasisKey(*raw_key)
+            except TypeError:
+                raise ValueError(
+                    f"basis key must be a pair (lambda_index, lefschetz_power), got {raw_key!r}"
+                ) from None
             if not isinstance(key.lambda_index, int) or not isinstance(key.lefschetz_power, int):
                 raise ValueError(f"basis key exponents must be integers, got {key}")
             if key.lambda_index < 0 or key.lefschetz_power < 0:
@@ -137,11 +142,15 @@ class MotiveClass:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MotiveClass":
-        terms = {
-            (entry["lambda"], entry["lefschetz"]): int(entry["mult"])
-            for entry in data["terms"]
-        }
-        return cls(data["genus"], terms)
+        try:
+            terms = {
+                (entry["lambda"], entry["lefschetz"]): int(entry["mult"])
+                for entry in data["terms"]
+            }
+            genus = data["genus"]
+        except KeyError as exc:
+            raise ValueError(f"motive dict is missing the field {exc.args[0]!r}") from None
+        return cls(genus, terms)
 
     def __str__(self) -> str:
         if not self._terms:

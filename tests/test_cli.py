@@ -258,6 +258,23 @@ def test_every_subcommand_honors_every_format(capsys, argv, fmt):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(" * 2000 + "L" + ")" * 2000,
+        " + ".join(["L"] * 3000),
+        "h1 * (" + " + ".join(["h1"] * 1500) + ")",
+    ],
+    ids=["nested-parentheses", "flat-sum", "nontate-over-long-sum"],
+)
+def test_too_deep_expression_exits_3_with_one_error_line(capsys, expr):
+    code, out, err = run(capsys, "eval", "--genus", "2", expr)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
@@ -273,8 +290,8 @@ def test_invalid_jobs_exits_2(capsys):
     assert code == 2
 
 
-# Exit code and stdout SHA-256 per format, recorded before the render path was
-# unified; any byte of difference in any format fails here.
+# Exit code and stdout SHA-256 of each subcommand in each format: a change of
+# any byte of output fails here.
 GOLDEN = {
     ("eval", "--genus", "3", "M + Sym(2) * L"): (0, {
         "text": "b61d51d9d4643d7121ac7acd86dfcea8a69b09fa55b00e26bbd7d0ff6944d695",

@@ -133,6 +133,12 @@ def test_construction_normalizes():
         MotiveClass(2, {(0, 0): "3"})
 
 
+@pytest.mark.parametrize("key", [(1, 2, 3), (1,), 7])
+def test_malformed_basis_key_raises_value_error(key):
+    with pytest.raises(ValueError, match="basis key must be a pair"):
+        MotiveClass(2, {key: 1})
+
+
 def test_items_sorted_lexicographically():
     m = MotiveClass(2, {(2, 0): 1, (0, 3): 2, (0, 1): 1, (1, 1): 4})
     assert [tuple(k) for k, _ in m.items()] == [(0, 1), (0, 3), (1, 1), (2, 0)]
@@ -152,6 +158,20 @@ def test_serialization_canonical_and_deterministic():
         ],
     }
     assert MotiveClass.from_dict(data) == m
+
+
+@pytest.mark.parametrize(
+    "data, missing",
+    [
+        ({"terms": []}, "genus"),
+        ({"genus": 2}, "terms"),
+        ({"genus": 2, "terms": [{"lefschetz": 0, "mult": "1"}]}, "lambda"),
+        ({"genus": 2, "terms": [{"lambda": 0, "mult": "1"}]}, "lefschetz"),
+    ],
+)
+def test_from_dict_missing_field_raises_value_error(data, missing):
+    with pytest.raises(ValueError, match=f"missing the field '{missing}'"):
+        MotiveClass.from_dict(data)
 
 
 def test_large_multiplicities_survive_serialization():
