@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -74,6 +75,7 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
                         help="accepted for compatibility (N >= 1); work runs serially")
 
 
+@functools.cache  # parse_args never mutates the parser, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvemotives",
@@ -472,9 +474,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # --- entry ----------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -38,6 +38,15 @@ KeyLike = Union[BasisKey, tuple]
 TermsLike = Union[Mapping, Iterable]
 
 
+def _basis_key(raw_key: KeyLike) -> BasisKey:
+    try:
+        return BasisKey(*raw_key)
+    except TypeError:
+        raise ValueError(
+            f"basis key must be a pair (lambda_index, lefschetz_power), got {raw_key!r}"
+        ) from None
+
+
 def _check_genus(genus: int) -> int:
     if not isinstance(genus, int) or isinstance(genus, bool) or genus < 2:
         raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
@@ -60,12 +69,7 @@ class MotiveClass:
         accumulated: dict[BasisKey, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw_key, mult in items:
-            try:
-                key = BasisKey(*raw_key)
-            except TypeError:
-                raise ValueError(
-                    f"basis key must be a pair (lambda_index, lefschetz_power), got {raw_key!r}"
-                ) from None
+            key = _basis_key(raw_key)
             if not isinstance(key.lambda_index, int) or not isinstance(key.lefschetz_power, int):
                 raise ValueError(f"basis key exponents must be integers, got {key}")
             if key.lambda_index < 0 or key.lefschetz_power < 0:
@@ -96,7 +100,7 @@ class MotiveClass:
         return tuple(self._terms.items())
 
     def multiplicity(self, key: KeyLike) -> int:
-        return self._terms.get(BasisKey(*key), 0)
+        return self._terms.get(_basis_key(key), 0)
 
     def __iter__(self) -> Iterator[BasisKey]:
         return iter(self._terms)
@@ -150,6 +154,8 @@ class MotiveClass:
             genus = data["genus"]
         except KeyError as exc:
             raise ValueError(f"motive dict is missing the field {exc.args[0]!r}") from None
+        except TypeError as exc:  # data or a term not a mapping, a mult of None, ...
+            raise ValueError(f"malformed motive dict: {exc}") from None
         return cls(genus, terms)
 
     def __str__(self) -> str:
@@ -224,18 +230,17 @@ def tensor(a: MotiveClass, b: MotiveClass) -> MotiveClass:
     part of the supported subring.
     """
     genus = _check_same_genus(a, b)
-    if not a.is_tate and not b.is_tate:
-        raise NonTateTensor(
-            "tensor product of two motives with lambda-classes is outside the supported subring"
-        )
-    terms: dict[BasisKey, int] = {}
-    for key_a, mult_a in a._terms.items():
-        for key_b, mult_b in b._terms.items():
-            key = BasisKey(
-                key_a.lambda_index + key_b.lambda_index,
-                key_a.lefschetz_power + key_b.lefschetz_power,
+    if not b.is_tate:
+        if not a.is_tate:
+            raise NonTateTensor(
+                "tensor product of two motives with lambda-classes is outside the supported subring"
             )
-            if key.lambda_index > 2 * genus:
-                continue
+        a, b = b, a
+    # b is Tate, so every product keeps a's lambda index, which is <= 2g
+    shifts = [(key.lefschetz_power, mult) for key, mult in b._terms.items()]
+    terms: dict[BasisKey, int] = {}
+    for (index, power), mult_a in a._terms.items():
+        for shift, mult_b in shifts:
+            key = tuple.__new__(BasisKey, (index, power + shift))
             terms[key] = terms.get(key, 0) + mult_a * mult_b
     return MotiveClass._from_clean(genus, terms)

@@ -37,7 +37,9 @@ from .core import (
 
 def _tate_geometric(genus: int, top: int, step: int = 1) -> MotiveClass:
     """1 (+) L^step (+) ... (+) L^top; the zero motive when top < 0."""
-    return MotiveClass(genus, {(0, e): 1 for e in range(0, top + 1, step)})
+    return MotiveClass._from_clean(
+        genus, {tuple.__new__(BasisKey, (0, e)): 1 for e in range(0, top + 1, step)}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -51,7 +53,7 @@ def sym_power_curve(n: int, genus: int) -> MotiveClass:
     if n < 0:
         raise ValueError(f"symmetric power must be >= 0, got {n}")
     terms = {
-        BasisKey(b, c): 1
+        tuple.__new__(BasisKey, (b, c)): 1
         for b in range(0, min(n, 2 * genus) + 1)
         for c in range(0, n - b + 1)
     }
@@ -94,9 +96,13 @@ def lambda_coefficient(motive: MotiveClass, index: int) -> MotiveClass:
     """
     if index < 0:
         raise ValueError(f"lambda index must be >= 0, got {index}")
-    return MotiveClass(
+    return MotiveClass._from_clean(
         motive.genus,
-        {(0, key.lefschetz_power): mult for key, mult in motive.items() if key.lambda_index == index},
+        {
+            tuple.__new__(BasisKey, (0, power)): mult
+            for (b, power), mult in motive.items()
+            if b == index
+        },
     )
 
 

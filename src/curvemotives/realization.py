@@ -28,23 +28,32 @@ from .polynomials import BiPolynomial, IntPolynomial
 def poincare_polynomial(motive: MotiveClass) -> IntPolynomial:
     """Betti realization: sum of C(2g, b) t^(b+2c) over the term map."""
     g = motive.genus
+    row = [comb(2 * g, b) for b in range(2 * g + 1)]
     coeffs: dict = {}
-    for key, mult in motive.items():
-        degree = key.lambda_index + 2 * key.lefschetz_power
-        coeffs[degree] = coeffs.get(degree, 0) + mult * comb(2 * g, key.lambda_index)
-    return IntPolynomial(coeffs, var="t")
+    for (b, c), mult in motive.items():
+        degree = b + 2 * c
+        coeffs[degree] = coeffs.get(degree, 0) + mult * row[b]
+    # every multiplicity is positive and every b <= 2g, so no coefficient is 0
+    return IntPolynomial._raw(coeffs, "t")
 
 
 def hodge_polynomial(motive: MotiveClass) -> BiPolynomial:
     """Hodge realization; coefficients are the Hodge numbers h^{p,q}."""
     g = motive.genus
+    rows: dict = {}  # b -> [(p, b - p, C(g,p) C(g,b-p))], only the nonzero weights
     coeffs: dict = {}
-    for key, mult in motive.items():
-        b, c = key.lambda_index, key.lefschetz_power
-        for p in range(0, b + 1):
-            pq = (p + c, b - p + c)
-            coeffs[pq] = coeffs.get(pq, 0) + mult * comb(g, p) * comb(g, b - p)
-    return BiPolynomial(coeffs)
+    for (b, c), mult in motive.items():
+        row = rows.get(b)
+        if row is None:
+            row = rows[b] = [
+                (p, b - p, comb(g, p) * comb(g, b - p))
+                for p in range(max(0, b - g), min(b, g) + 1)
+            ]
+        for p, q, weight in row:
+            pq = (p + c, q + c)
+            coeffs[pq] = coeffs.get(pq, 0) + mult * weight
+    # positive multiplicities times positive weights: no coefficient is 0
+    return BiPolynomial._raw(coeffs)
 
 
 def key_identity_sides(m: int) -> tuple:
@@ -187,21 +196,20 @@ def block_decomposition_report(genus: int) -> BlockReport:
     for k in range(0, genus - 1):
         sym_hodge = hodge_polynomial(sym_power_curve(k, genus))
         for twist in (k, 3 * genus - 3 - 2 * k):
-            blocks.append(
-                HodgeBlock(k, twist, sym_hodge * BiPolynomial.monomial(twist, twist))
-            )
+            blocks.append(HodgeBlock(k, twist, _twisted(sym_hodge, twist)))
     middle = hodge_polynomial(sym_power_curve(genus - 1, genus))
-    blocks.append(
-        HodgeBlock(
-            genus - 1,
-            genus - 1,
-            middle * BiPolynomial.monomial(genus - 1, genus - 1),
-        )
-    )
-    total = BiPolynomial.zero()
+    blocks.append(HodgeBlock(genus - 1, genus - 1, _twisted(middle, genus - 1)))
+    total: dict = {}
     for block in blocks:
-        total = total + block.hodge
-    return BlockReport(genus=genus, blocks=tuple(blocks), total=total)
+        for pq, c in block.hodge._coeffs.items():
+            total[pq] = total.get(pq, 0) + c
+    # every block coefficient is positive, so no sum is 0
+    return BlockReport(genus=genus, blocks=tuple(blocks), total=BiPolynomial._raw(total))
+
+
+def _twisted(poly: BiPolynomial, twist: int) -> BiPolynomial:
+    """poly * (uv)^twist, by shifting every exponent pair."""
+    return BiPolynomial._raw({(p + twist, q + twist): c for (p, q), c in poly._coeffs.items()})
 
 
 def hodge_diamond_rows(poly: BiPolynomial) -> list:

@@ -20,7 +20,7 @@ from curvemotives.dsl import (
     SymPower,
     Unit,
 )
-from curvemotives.polynomials import IntPolynomial
+from curvemotives.polynomials import BiPolynomial, IntPolynomial
 
 
 # --- hypothesis strategies --------------------------------------------------
@@ -222,3 +222,38 @@ def _convolve_truncated(a: list, b: list, order: int) -> list:
                     acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
         out.append(IntPolynomial({e: c for e, c in acc.items() if c}))
     return out
+
+
+# --- plain reference realizations, straight from the README formulas ----------
+
+def reference_poincare(motive: MotiveClass) -> IntPolynomial:
+    """lam(b)*L^c contributes C(2g, b) t^(b+2c); built by the validating
+    constructor, which drops any zero coefficient."""
+    g = motive.genus
+    return IntPolynomial(
+        [(b + 2 * c, mult * comb(2 * g, b)) for (b, c), mult in motive.items()], var="t"
+    )
+
+
+def reference_hodge(motive: MotiveClass) -> BiPolynomial:
+    """lam(b)*L^c contributes (sum_{p+q=b} C(g,p) C(g,q) u^p v^q) (uv)^c, with
+    p over all of 0..b (the terms with p or q above g are zero)."""
+    g = motive.genus
+    return BiPolynomial(
+        [
+            ((p + c, b - p + c), mult * comb(g, p) * comb(g, b - p))
+            for (b, c), mult in motive.items()
+            for p in range(b + 1)
+        ]
+    )
+
+
+def reference_tensor(a: MotiveClass, b: MotiveClass) -> MotiveClass:
+    """Bilinear expansion (b, c) (x) (b', c') = (b + b', c + c') over every pair
+    of terms, through the validating constructor, which drops b + b' > 2g."""
+    terms: dict = {}
+    for (b1, c1), m1 in a.items():
+        for (b2, c2), m2 in b.items():
+            key = (b1 + b2, c1 + c2)
+            terms[key] = terms.get(key, 0) + m1 * m2
+    return MotiveClass(a.genus, terms)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from curvemotives.cli import main
+from curvemotives.cli import build_parser, main
 
 EVAL_SYM0 = '{"genus":2,"terms":[{"lambda":0,"lefschetz":0,"mult":"1"}]}\n'
 
@@ -372,3 +372,40 @@ def test_out_file_matches_golden_stdout(tmp_path, capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(target))
     assert (code, out, err) == (expected_code, "", "")
     assert _sha256(target.read_text(encoding="utf-8")) == digests[fmt]
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys):
+    # main reuses one parser per process.  Each call here follows one that set
+    # a flag it relies on the default of, or one that failed or printed help,
+    # and must give exactly what a freshly built parser gives.
+    hodge = ("hodge", "--genus", "3", "M")
+    evaluate = ("eval", "--genus", "3", "M + Sym(2) * L")
+    sequence = [
+        (hodge + ("--diamond",), GOLDEN[hodge + ("--diamond",)][1]["text"]),
+        (hodge, GOLDEN[hodge][1]["text"]),
+        (evaluate + ("--format", "json"), GOLDEN[evaluate][1]["json"]),
+        (evaluate, GOLDEN[evaluate][1]["text"]),
+        (("eval", "M"), 2),  # usage error: --genus is required
+        (hodge, GOLDEN[hodge][1]["text"]),
+        (("eval", "--genus", "2", "Sym(2) * (L + 1"), 2),  # expression parse error
+        (evaluate + ("--format", "csv"), GOLDEN[evaluate][1]["csv"]),
+        (("hodge", "--help"), 0),
+        (hodge + ("--diamond", "--json"), GOLDEN[hodge + ("--diamond",)][1]["json"]),
+        (("equal", "--genus", "2", "--genus-min", "2", "M", "M"), 2),  # usage error in a handler
+        (hodge, GOLDEN[hodge][1]["text"]),
+    ]
+    seen = []
+    for argv, expected in sequence:
+        code, out, err = run(capsys, *argv)
+        seen.append((argv, (code, out, err)))
+        if isinstance(expected, str):
+            assert (code, _sha256(out), err) == (0, expected, ""), argv
+        elif expected == 0:
+            assert (code, err) == (0, ""), argv
+            assert out.startswith(f"usage: curvemotives {argv[0]} "), argv
+        else:
+            assert (code, out) == (expected, ""), argv
+            assert sum("error: " in line for line in err.splitlines()) == 1, argv
+    for argv, result in seen:
+        build_parser.cache_clear()
+        assert run(capsys, *argv) == result, argv

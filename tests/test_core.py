@@ -15,7 +15,7 @@ from curvemotives import (
     unit,
     zero,
 )
-from helpers import motive_pairs, motive_triples, motives
+from helpers import motive_pairs, motive_triples, motives, reference_tensor
 
 
 def test_zero_has_no_terms():
@@ -105,6 +105,22 @@ def test_tensor_expands_tate_products():
     assert tensor(a, b) == expected
 
 
+def test_tensor_keys_are_basis_keys_with_tate_operand_on_either_side():
+    lam = direct_sum(lambda_h1(3, 2), MotiveClass(3, {(1, 4): 2}))
+    tate = MotiveClass(3, {(0, 0): 1, (0, 3): 5})
+    for product in (tensor(lam, tate), tensor(tate, lam), tensor(tate, tate)):
+        assert product.items()
+        assert all(type(key) is BasisKey for key, _ in product.items())
+    assert tensor(lam, tate) == tensor(tate, lam)
+
+
+@given(motive_pairs(tate_second=True))
+def test_tensor_matches_bilinear_expansion_either_order(pair):
+    a, b = pair
+    assert tensor(a, b) == reference_tensor(a, b)
+    assert tensor(b, a) == reference_tensor(a, b)
+
+
 def test_tensor_of_two_lambda_classes_rejected():
     with pytest.raises(NonTateTensor):
         tensor(lambda_h1(2, 1), lambda_h1(2, 1))
@@ -139,6 +155,12 @@ def test_malformed_basis_key_raises_value_error(key):
         MotiveClass(2, {key: 1})
 
 
+@pytest.mark.parametrize("key", [(1, 2, 3), (1,), 7])
+def test_multiplicity_of_malformed_key_raises_value_error(key):
+    with pytest.raises(ValueError, match="basis key must be a pair"):
+        MotiveClass(2, {(0, 1): 1}).multiplicity(key)
+
+
 def test_items_sorted_lexicographically():
     m = MotiveClass(2, {(2, 0): 1, (0, 3): 2, (0, 1): 1, (1, 1): 4})
     assert [tuple(k) for k, _ in m.items()] == [(0, 1), (0, 3), (1, 1), (2, 0)]
@@ -171,6 +193,22 @@ def test_serialization_canonical_and_deterministic():
 )
 def test_from_dict_missing_field_raises_value_error(data, missing):
     with pytest.raises(ValueError, match=f"missing the field '{missing}'"):
+        MotiveClass.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"genus": 2, "terms": [[0, 0, 1]]},
+        {"genus": 2, "terms": [{"lambda": 0, "lefschetz": 0, "mult": None}]},
+        {"genus": 2, "terms": 7},
+        [("genus", 2), ("terms", [])],
+        None,
+    ],
+    ids=["term-is-a-list", "mult-is-none", "terms-not-iterable", "data-is-a-list", "data-is-none"],
+)
+def test_from_dict_malformed_data_raises_value_error(data):
+    with pytest.raises(ValueError, match="motive dict"):
         MotiveClass.from_dict(data)
 
 

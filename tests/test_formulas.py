@@ -94,6 +94,13 @@ def test_lambda_coefficient_examples():
     assert lambda_coefficient(moduli_motive_delbano(2), 9) == zero(2)
 
 
+def test_lambda_coefficient_keys_are_basis_keys():
+    m = direct_sum(tensor(lambda_h1(3, 2), MotiveClass(3, {(0, 1): 2, (0, 4): 1})), unit(3))
+    coefficient = lambda_coefficient(m, 2)
+    assert coefficient == MotiveClass(3, {(0, 1): 2, (0, 4): 1})
+    assert all(type(key) is BasisKey for key, _ in coefficient.items())
+
+
 @given(motives())
 def test_lambda_coefficients_reconstruct(m):
     rebuilt = zero(m.genus)

@@ -1,5 +1,6 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -23,7 +24,14 @@ from curvemotives import (
     verify_key_identity,
 )
 from curvemotives.polynomials import BiPolynomial, IntPolynomial
-from helpers import motive_pairs, motives, mutated_identity_lhs, truncated_macdonald
+from helpers import (
+    motive_pairs,
+    motives,
+    mutated_identity_lhs,
+    reference_hodge,
+    reference_poincare,
+    truncated_macdonald,
+)
 
 AB_G2 = IntPolynomial({0: 1, 2: 1, 3: 4, 4: 1, 6: 1})
 # frozen from an independent computer-algebra expansion of the closed form
@@ -51,6 +59,26 @@ def test_hodge_of_lefschetz():
 
 def test_hodge_of_h1():
     assert hodge_polynomial(lambda_h1(2, 1)) == BiPolynomial({(1, 0): 2, (0, 1): 2})
+
+
+@st.composite
+def motives_with_high_lambda(draw):
+    """A random motive plus lam(b)*L^c with g < b <= 2g, where some of the
+    products C(g, p) C(g, b - p) vanish."""
+    m = draw(motives())
+    g = m.genus
+    b = draw(st.integers(min_value=g + 1, max_value=2 * g))
+    c = draw(st.integers(min_value=0, max_value=8))
+    return direct_sum(m, MotiveClass(g, {(b, c): draw(st.integers(min_value=1, max_value=4))}))
+
+
+@given(motives_with_high_lambda())
+def test_realizations_match_readme_formulas(m):
+    poincare, hodge = poincare_polynomial(m), hodge_polynomial(m)
+    assert poincare == reference_poincare(m)
+    assert hodge == reference_hodge(m)
+    assert all(coeff != 0 for _, coeff in poincare.items())
+    assert all(coeff != 0 for _, coeff in hodge.items())
 
 
 @given(motives())
@@ -219,6 +247,16 @@ def test_block_count_and_total(genus):
         total = total + block.hodge
     assert total == report.total
     assert report.total == hodge_polynomial(moduli_motive_delbano(genus))
+
+
+@pytest.mark.parametrize("genus", range(2, 9))
+def test_blocks_are_twisted_sym_power_realizations(genus):
+    report = block_decomposition_report(genus)
+    for block in report.blocks:
+        twist = BiPolynomial.monomial(block.twist, block.twist)
+        assert block.hodge == hodge_polynomial(sym_power_curve(block.sym_power, genus)) * twist
+        assert all(coeff != 0 for _, coeff in block.hodge.items())
+    assert all(coeff != 0 for _, coeff in report.total.items())
 
 
 def test_block_report_json_schema():
