@@ -75,7 +75,6 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
                         help="accepted for compatibility (N >= 1); work runs serially")
 
 
-@functools.cache  # parse_args never mutates the parser, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvemotives",
@@ -473,9 +472,18 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 # --- entry ----------------------------------------------------------------
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses.  parse_args never changes a parser, so one built
+    per process serves every main call; a process that calls main once, as
+    the entry point does, builds it once either way.  Kept private so no
+    caller can change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

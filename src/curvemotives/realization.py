@@ -196,20 +196,21 @@ def block_decomposition_report(genus: int) -> BlockReport:
     for k in range(0, genus - 1):
         sym_hodge = hodge_polynomial(sym_power_curve(k, genus))
         for twist in (k, 3 * genus - 3 - 2 * k):
-            blocks.append(HodgeBlock(k, twist, _twisted(sym_hodge, twist)))
+            blocks.append(
+                HodgeBlock(k, twist, sym_hodge * BiPolynomial.monomial(twist, twist))
+            )
     middle = hodge_polynomial(sym_power_curve(genus - 1, genus))
-    blocks.append(HodgeBlock(genus - 1, genus - 1, _twisted(middle, genus - 1)))
-    total: dict = {}
+    blocks.append(
+        HodgeBlock(
+            genus - 1,
+            genus - 1,
+            middle * BiPolynomial.monomial(genus - 1, genus - 1),
+        )
+    )
+    total = BiPolynomial.zero()
     for block in blocks:
-        for pq, c in block.hodge._coeffs.items():
-            total[pq] = total.get(pq, 0) + c
-    # every block coefficient is positive, so no sum is 0
-    return BlockReport(genus=genus, blocks=tuple(blocks), total=BiPolynomial._raw(total))
-
-
-def _twisted(poly: BiPolynomial, twist: int) -> BiPolynomial:
-    """poly * (uv)^twist, by shifting every exponent pair."""
-    return BiPolynomial._raw({(p + twist, q + twist): c for (p, q), c in poly._coeffs.items()})
+        total = total + block.hodge
+    return BlockReport(genus=genus, blocks=tuple(blocks), total=total)
 
 
 def hodge_diamond_rows(poly: BiPolynomial) -> list:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from curvemotives import cli
 from curvemotives.cli import build_parser, main
 
 EVAL_SYM0 = '{"genus":2,"terms":[{"lambda":0,"lefschetz":0,"mult":"1"}]}\n'
@@ -407,5 +408,16 @@ def test_one_parser_serves_a_sequence_of_calls(capsys):
             assert (code, out) == (expected, ""), argv
             assert sum("error: " in line for line in err.splitlines()) == 1, argv
     for argv, result in seen:
-        build_parser.cache_clear()
+        cli._parser.cache_clear()
         assert run(capsys, *argv) == result, argv
+
+
+def test_build_parser_returns_a_parser_main_does_not_share(capsys):
+    hodge = ("hodge", "--genus", "3", "M")
+    parser = build_parser()
+    assert build_parser() is not parser
+    parser.add_argument("--extra")
+    assert parser.parse_args(["--extra", "x", *hodge]).extra == "x"
+    code, out, err = run(capsys, *hodge)
+    assert (code, _sha256(out), err) == (0, GOLDEN[hodge][1]["text"], "")
+    assert run(capsys, "--extra", "x", *hodge)[0] == 2
