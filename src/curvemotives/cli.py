@@ -206,11 +206,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # --- equal ----------------------------------------------------------------
 
 def _diff_terms(a: MotiveClass, b: MotiveClass) -> list:
-    keys = sorted(set(a) | set(b))
+    left, right = dict(a.items()), dict(b.items())
     return [
-        (key, a.multiplicity(key), b.multiplicity(key))
-        for key in keys
-        if a.multiplicity(key) != b.multiplicity(key)
+        (key, left.get(key, 0), right.get(key, 0))
+        for key in sorted(left.keys() | right.keys())
+        if left.get(key, 0) != right.get(key, 0)
     ]
 
 
@@ -484,12 +484,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
-    try:
         return args.func(args)
-    except SystemExit as exc:  # parser.error inside a handler
+    except SystemExit as exc:  # argparse, also parser.error inside a handler
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     except (dsl.ParseError, OSError) as exc:  # ParseError is a ValueError: caught first

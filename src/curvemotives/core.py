@@ -70,7 +70,7 @@ class MotiveClass:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw_key, mult in items:
             key = _basis_key(raw_key)
-            if not isinstance(key.lambda_index, int) or not isinstance(key.lefschetz_power, int):
+            if any(not isinstance(e, int) or isinstance(e, bool) for e in key):
                 raise ValueError(f"basis key exponents must be integers, got {key}")
             if key.lambda_index < 0 or key.lefschetz_power < 0:
                 raise ValueError(f"negative exponent in basis key {key}")

@@ -35,11 +35,36 @@ from .core import (
 )
 
 
+def _tate(genus: int, counts: dict) -> MotiveClass:
+    """The Tate motive (+)_e n_e L^e of a map e -> n_e with every n_e > 0."""
+    return MotiveClass._from_clean(
+        genus, {tuple.__new__(BasisKey, (0, e)): n for e, n in counts.items()}
+    )
+
+
 def _tate_geometric(genus: int, top: int, step: int = 1) -> MotiveClass:
     """1 (+) L^step (+) ... (+) L^top; the zero motive when top < 0."""
-    return MotiveClass._from_clean(
-        genus, {tuple.__new__(BasisKey, (0, e)): 1 for e in range(0, top + 1, step)}
-    )
+    return _tate(genus, dict.fromkeys(range(0, top + 1, step), 1))
+
+
+def _blocks(genus: int) -> list:
+    """The (k, twists) pairs of the symmetric-power form: h(C^(k)) is
+    twisted by L^k and L^(3g-3-2k) for k = 0..g-2, and by L^(g-1) at k = g-1."""
+    pairs = [(k, (k, 3 * genus - 3 - 2 * k)) for k in range(genus - 1)]
+    return pairs + [(genus - 1, (genus - 1,))]
+
+
+def _bracket(m: int) -> dict:
+    """Exponent -> count of the reindexed sum, built termwise (empty for m < 0):
+    sum_{j<m} sum_{c<=j} (x^(j+c) + x^(3m-2j+c)) + sum_{c<=m} x^(m+c)."""
+    counts: dict = {}
+    for j in range(m):
+        for c in range(j + 1):
+            for e in (j + c, 3 * m - 2 * j + c):
+                counts[e] = counts.get(e, 0) + 1
+    for c in range(m + 1):
+        counts[m + c] = counts.get(m + c, 0) + 1
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -81,11 +106,10 @@ def moduli_motive_conjectural(genus: int) -> MotiveClass:
     """Symmetric-power decomposition of the moduli motive."""
     _check_genus(genus)
     total = zero(genus)
-    for k in range(0, genus - 1):
-        twists = direct_sum(lefschetz(genus, k), lefschetz(genus, 3 * genus - 3 - 2 * k))
-        total = direct_sum(total, tensor(sym_power_curve(k, genus), twists))
-    last = tensor(sym_power_curve(genus - 1, genus), lefschetz(genus, genus - 1))
-    return direct_sum(total, last)
+    for k, twists in _blocks(genus):
+        twist_sum = _tate(genus, dict.fromkeys(twists, 1))  # the twists are distinct
+        total = direct_sum(total, tensor(sym_power_curve(k, genus), twist_sum))
+    return total
 
 
 def lambda_coefficient(motive: MotiveClass, index: int) -> MotiveClass:
@@ -96,13 +120,8 @@ def lambda_coefficient(motive: MotiveClass, index: int) -> MotiveClass:
     """
     if index < 0:
         raise ValueError(f"lambda index must be >= 0, got {index}")
-    return MotiveClass._from_clean(
-        motive.genus,
-        {
-            tuple.__new__(BasisKey, (0, power)): mult
-            for (b, power), mult in motive.items()
-            if b == index
-        },
+    return _tate(
+        motive.genus, {power: mult for (b, power), mult in motive.items() if b == index}
     )
 
 
@@ -115,25 +134,13 @@ def proof_chain_check(genus: int, index: int) -> bool:
         L^i (x) [ (+)_{j=0..g-2-i} (+)_{c=0..j} (L^(j+c) (+) L^(3g-3-3i-2j+c))
                   (+) (+)_{c=0..g-1-i} L^(g-1-i+c) ],
 
-    both equal the lambda-coefficient of del Bano's form.
+    that is L^i (x) ``_bracket(g-1-i)``, both equal the lambda-coefficient
+    of del Bano's form.
     """
     _check_genus(genus)
     if not 0 <= index <= genus:
         raise ValueError(f"lambda index must satisfy 0 <= i <= g, got i={index}, g={genus}")
     target = lambda_coefficient(moduli_motive_delbano(genus), index)
     direct = lambda_coefficient(moduli_motive_conjectural(genus), index)
-
-    bracket_terms: dict = {}
-    def add_power(c: int) -> None:
-        key = (0, c)
-        bracket_terms[key] = bracket_terms.get(key, 0) + 1
-
-    for j in range(0, genus - 1 - index):
-        for c in range(0, j + 1):
-            add_power(j + c)
-            add_power(3 * genus - 3 - 3 * index - 2 * j + c)
-    for c in range(0, genus - index):
-        add_power(genus - 1 - index + c)
-    reduced = tensor(lefschetz(genus, index), MotiveClass(genus, bracket_terms))
-
+    reduced = tensor(lefschetz(genus, index), _tate(genus, _bracket(genus - 1 - index)))
     return direct == target and reduced == target

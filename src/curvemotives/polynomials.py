@@ -16,16 +16,15 @@ CoeffsLike = Union[Mapping, Iterable]
 def _accumulate(items: Iterable, arity: int) -> dict:
     out: dict = {}
     for exponent, coeff in items:
-        if arity == 1:
-            key = int(exponent)
-            if key < 0:
-                raise ValueError(f"negative exponent {key}")
-        else:
-            key = tuple(int(e) for e in exponent)
-            if len(key) != arity or any(e < 0 for e in key):
-                raise ValueError(f"bad exponent pair {exponent!r}")
+        parts = (exponent,) if arity == 1 else exponent
+        if not isinstance(parts, (tuple, list)) or len(parts) != arity or not all(
+            isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in parts
+        ):
+            shape = "an integer" if arity == 1 else "a pair of integers"
+            raise ValueError(f"exponent must be {shape} >= 0, got {exponent!r}")
         if not isinstance(coeff, int) or isinstance(coeff, bool):
             raise ValueError(f"coefficient must be an integer, got {coeff!r}")
+        key = exponent if arity == 1 else tuple(parts)
         out[key] = out.get(key, 0) + coeff
     return {k: v for k, v in out.items() if v != 0}
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import MotiveClass, _check_genus
-from .formulas import sym_power_curve
+from .formulas import _blocks, _bracket, sym_power_curve
 from .polynomials import BiPolynomial, IntPolynomial
 
 
@@ -59,7 +59,8 @@ def hodge_polynomial(motive: MotiveClass) -> BiPolynomial:
 def key_identity_sides(m: int) -> tuple:
     """Both sides of the closing Lefschetz-power identity, as polynomials in x.
 
-    Left side, built termwise with no division:
+    Left side, the proof chain's reindexed bracket built termwise with no
+    division:
 
         sum_{j=0..m-1} sum_{c=0..j} (x^(j+c) + x^(3m-2j+c)) + sum_{c=0..m} x^(m+c)
 
@@ -69,14 +70,7 @@ def key_identity_sides(m: int) -> tuple:
     """
     if m < 1:
         raise ValueError(f"the identity is stated for m >= 1, got {m}")
-    lhs_coeffs: dict = {}
-    for j in range(0, m):
-        for c in range(0, j + 1):
-            for e in (j + c, 3 * m - 2 * j + c):
-                lhs_coeffs[e] = lhs_coeffs.get(e, 0) + 1
-    for c in range(0, m + 1):
-        lhs_coeffs[m + c] = lhs_coeffs.get(m + c, 0) + 1
-    lhs = IntPolynomial(lhs_coeffs, var="x")
+    lhs = IntPolynomial(_bracket(m), var="x")
     rhs = IntPolynomial.geometric(m, var="x") * IntPolynomial.geometric(2 * m, step=2, var="x")
     return lhs, rhs
 
@@ -187,26 +181,17 @@ def _bipoly_triples(poly: BiPolynomial) -> list:
 
 def block_decomposition_report(genus: int) -> BlockReport:
     """Hodge polynomial of every block h(C^(k)) (x) L^twist of the
-    symmetric-power decomposition: twists k and 3g-3-2k for k = 0..g-2,
-    then the middle block at k = g-1 with twist g-1.  The 2g-1 block
-    polynomials sum to the Hodge polynomial of the moduli space.
+    symmetric-power decomposition, in the order of the block table that
+    ``moduli_motive_conjectural`` is built from: twists k and 3g-3-2k for
+    k = 0..g-2, then the middle block at k = g-1 with twist g-1.  The 2g-1
+    block polynomials sum to the Hodge polynomial of the moduli space.
     """
     _check_genus(genus)
     blocks = []
-    for k in range(0, genus - 1):
+    for k, twists in _blocks(genus):
         sym_hodge = hodge_polynomial(sym_power_curve(k, genus))
-        for twist in (k, 3 * genus - 3 - 2 * k):
-            blocks.append(
-                HodgeBlock(k, twist, sym_hodge * BiPolynomial.monomial(twist, twist))
-            )
-    middle = hodge_polynomial(sym_power_curve(genus - 1, genus))
-    blocks.append(
-        HodgeBlock(
-            genus - 1,
-            genus - 1,
-            middle * BiPolynomial.monomial(genus - 1, genus - 1),
-        )
-    )
+        for twist in twists:
+            blocks.append(HodgeBlock(k, twist, sym_hodge * BiPolynomial.monomial(twist, twist)))
     total = BiPolynomial.zero()
     for block in blocks:
         total = total + block.hodge

@@ -155,6 +155,20 @@ def test_malformed_basis_key_raises_value_error(key):
         MotiveClass(2, {key: 1})
 
 
+@pytest.mark.parametrize("key", [(True, False), (1, True), (False, 2), (1.0, 2), ("1", 2)])
+def test_non_integer_key_exponent_raises_value_error(key):
+    with pytest.raises(ValueError, match="basis key exponents must be integers"):
+        MotiveClass(2, {key: 1})
+
+
+@pytest.mark.parametrize("field", ["lambda", "lefschetz"])
+def test_from_dict_bool_exponent_raises_value_error(field):
+    term = {"lambda": 1, "lefschetz": 2, "mult": "1"}
+    term[field] = True
+    with pytest.raises(ValueError, match="basis key exponents must be integers"):
+        MotiveClass.from_dict({"genus": 2, "terms": [term]})
+
+
 @pytest.mark.parametrize("key", [(1, 2, 3), (1,), 7])
 def test_multiplicity_of_malformed_key_raises_value_error(key):
     with pytest.raises(ValueError, match="basis key must be a pair"):

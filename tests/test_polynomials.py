@@ -18,6 +18,26 @@ def test_construction_rejects_bad_input():
         IntPolynomial({0: 1.5})
 
 
+@pytest.mark.parametrize("exponent", [1.7, 2.0, "3", True, False, None, -1])
+def test_int_polynomial_rejects_exponent_that_is_not_a_natural_int(exponent):
+    with pytest.raises(ValueError, match="exponent must be an integer >= 0"):
+        IntPolynomial({exponent: 2})
+    with pytest.raises(ValueError, match="exponent must be an integer >= 0"):
+        IntPolynomial([(exponent, 2)])
+
+
+@pytest.mark.parametrize(
+    "exponent", [5, None, (1,), (1, 2, 3), (1.5, 0), (0, "2"), (True, 1), (1, False), (-1, 0), "12"]
+)
+def test_bipolynomial_rejects_exponent_that_is_not_a_pair_of_natural_ints(exponent):
+    with pytest.raises(ValueError, match="exponent must be a pair of integers >= 0"):
+        BiPolynomial({exponent: 1})
+
+
+def test_bipolynomial_accepts_list_exponent_pairs():
+    assert BiPolynomial([([1, 2], 3)]) == BiPolynomial({(1, 2): 3})
+
+
 def test_degree_and_zero():
     assert IntPolynomial.zero().degree() == -1
     assert IntPolynomial.zero().is_zero

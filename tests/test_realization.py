@@ -16,6 +16,7 @@ from curvemotives import (
     lefschetz,
     macdonald_oracle,
     macdonald_series,
+    moduli_motive_conjectural,
     moduli_motive_delbano,
     poincare_polynomial,
     render_hodge_diamond,
@@ -257,6 +258,17 @@ def test_blocks_are_twisted_sym_power_realizations(genus):
         assert block.hodge == hodge_polynomial(sym_power_curve(block.sym_power, genus)) * twist
         assert all(coeff != 0 for _, coeff in block.hodge.items())
     assert all(coeff != 0 for _, coeff in report.total.items())
+
+
+@pytest.mark.parametrize("genus", range(2, 31))
+def test_report_blocks_sum_to_the_symmetric_power_form(genus):
+    """The report's (sym_power, twist) list is the symmetric-power form itself,
+    compared as motives, not only through the Hodge sums of criterion 8."""
+    total = MotiveClass(genus)
+    for block in block_decomposition_report(genus).blocks:
+        summand = tensor(sym_power_curve(block.sym_power, genus), lefschetz(genus, block.twist))
+        total = direct_sum(total, summand)
+    assert total == moduli_motive_conjectural(genus)
 
 
 def test_block_report_json_schema():
