@@ -17,7 +17,7 @@ outside the supported subring and raises :class:`NonTateTensor`.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class NonTateTensor(ValueError):
@@ -34,11 +34,7 @@ class BasisKey(NamedTuple):
     lefschetz_power: int
 
 
-KeyLike = Union[BasisKey, tuple]
-TermsLike = Union[Mapping, Iterable]
-
-
-def _basis_key(raw_key: KeyLike) -> BasisKey:
+def _basis_key(raw_key: tuple) -> BasisKey:
     try:
         return BasisKey(*raw_key)
     except TypeError:
@@ -56,17 +52,18 @@ def _check_genus(genus: int) -> int:
 class MotiveClass:
     """Finite formal sum of :class:`BasisKey` classes at a fixed genus.
 
-    Values are immutable; every operation returns a new normalized value.
-    Keys with lambda index above 2g are identically zero and are never
-    stored, and no stored multiplicity is zero.  Iteration and
-    serialization order is lexicographic in (lambda_index, lefschetz_power).
+    Stored as (+)_b lam^b h1 (x) P_b(L): ``_rows`` maps each lambda index
+    b <= 2g to a non-empty ``{lefschetz_power: multiplicity > 0}`` for P_b.
+    Values are immutable and a stored row never changes, so motives may
+    share rows.  Iteration and serialization order is lexicographic in
+    (lambda_index, lefschetz_power).
     """
 
-    __slots__ = ("_genus", "_terms")
+    __slots__ = ("_genus", "_rows")
 
-    def __init__(self, genus: int, terms: TermsLike = ()):
+    def __init__(self, genus: int, terms: Mapping | Iterable = ()):
         self._genus = _check_genus(genus)
-        accumulated: dict[BasisKey, int] = {}
+        rows: dict[int, dict[int, int]] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw_key, mult in items:
             key = _basis_key(raw_key)
@@ -80,50 +77,60 @@ class MotiveClass:
                 raise ValueError(f"negative multiplicity {mult} for {key}")
             if mult == 0 or key.lambda_index > 2 * self._genus:
                 continue  # identically zero contributions are not stored
-            accumulated[key] = accumulated.get(key, 0) + mult
-        self._terms = dict(sorted(accumulated.items()))
+            row = rows.setdefault(key.lambda_index, {})
+            row[key.lefschetz_power] = row.get(key.lefschetz_power, 0) + mult
+        self._rows = rows
 
     @classmethod
-    def _from_clean(cls, genus: int, terms: dict) -> "MotiveClass":
-        # internal: BasisKey -> positive int, within the genus bound
+    def _from_rows(cls, genus: int, rows: dict) -> "MotiveClass":
+        # internal: rows that keep the class invariants, owned by the motive
         motive = cls.__new__(cls)
         motive._genus = genus
-        motive._terms = dict(sorted(terms.items()))
+        motive._rows = rows
         return motive
 
     @property
     def genus(self) -> int:
         return self._genus
 
+    def rows(self) -> Iterator[tuple]:
+        """Pairs (b, P_b) in increasing b; P_b is a read-only items view."""
+        return ((index, self._rows[index].items()) for index in sorted(self._rows))
+
     def items(self) -> tuple:
         """Terms as ((BasisKey, multiplicity), ...) in canonical order."""
-        return tuple(self._terms.items())
+        return tuple(
+            (BasisKey(index, power), mult)
+            for index, row in self.rows()
+            for power, mult in sorted(row)
+        )
 
-    def multiplicity(self, key: KeyLike) -> int:
-        return self._terms.get(_basis_key(key), 0)
+    def multiplicity(self, key: tuple) -> int:
+        key = _basis_key(key)
+        return self._rows.get(key.lambda_index, {}).get(key.lefschetz_power, 0)
 
     def __iter__(self) -> Iterator[BasisKey]:
-        return iter(self._terms)
+        return (key for key, _ in self.items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return sum(len(row) for row in self._rows.values())
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._rows
 
     @property
     def is_tate(self) -> bool:
         """True when every stored key is a pure Lefschetz power."""
-        return all(key.lambda_index == 0 for key in self._terms)
+        return all(index == 0 for index in self._rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MotiveClass):
             return NotImplemented
-        return self._genus == other._genus and self._terms == other._terms
+        return self._genus == other._genus and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self._genus, frozenset(self._terms.items())))
+        return hash((self._genus, self.items()))
 
     def __add__(self, other: "MotiveClass") -> "MotiveClass":
         return direct_sum(self, other)
@@ -137,7 +144,7 @@ class MotiveClass:
             "genus": self._genus,
             "terms": [
                 {"lambda": key.lambda_index, "lefschetz": key.lefschetz_power, "mult": str(mult)}
-                for key, mult in self._terms.items()
+                for key, mult in self.items()
             ],
         }
 
@@ -146,25 +153,27 @@ class MotiveClass:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MotiveClass":
+        """Inverse of :meth:`to_dict`; a ``mult`` of decimal digits is read as an int."""
         try:
-            terms = {
-                (entry["lambda"], entry["lefschetz"]): int(entry["mult"])
-                for entry in data["terms"]
-            }
-            genus = data["genus"]
+            pairs = []
+            for entry in data["terms"]:
+                mult = entry["mult"]
+                if isinstance(mult, str) and mult.isdecimal():
+                    mult = int(mult)
+                pairs.append(((entry["lambda"], entry["lefschetz"]), mult))
+            return cls(data["genus"], pairs)
         except KeyError as exc:
             raise ValueError(f"motive dict is missing the field {exc.args[0]!r}") from None
-        except TypeError as exc:  # data or a term not a mapping, a mult of None, ...
+        except (TypeError, ValueError) as exc:  # a term not a mapping, a mult of 1.9, ...
             raise ValueError(f"malformed motive dict: {exc}") from None
-        return cls(genus, terms)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._rows:
             return "0"
-        return " + ".join(_term_str(key, mult) for key, mult in self._terms.items())
+        return " + ".join(_term_str(key, mult) for key, mult in self.items())
 
     def __repr__(self) -> str:
-        terms = {tuple(key): mult for key, mult in self._terms.items()}
+        terms = {tuple(key): mult for key, mult in self.items()}
         return f"MotiveClass(genus={self._genus}, terms={terms})"
 
 
@@ -215,10 +224,13 @@ def _check_same_genus(a: MotiveClass, b: MotiveClass) -> int:
 def direct_sum(a: MotiveClass, b: MotiveClass) -> MotiveClass:
     """Pointwise sum of multiplicity maps (the operation written ⊕)."""
     genus = _check_same_genus(a, b)
-    terms = dict(a._terms)
-    for key, mult in b._terms.items():
-        terms[key] = terms.get(key, 0) + mult
-    return MotiveClass._from_clean(genus, terms)
+    rows = dict(a._rows)
+    for index, row in b._rows.items():
+        merged = dict(rows.get(index, ()))
+        for power, mult in row.items():
+            merged[power] = merged.get(power, 0) + mult
+        rows[index] = merged
+    return MotiveClass._from_rows(genus, rows)
 
 
 def tensor(a: MotiveClass, b: MotiveClass) -> MotiveClass:
@@ -236,11 +248,15 @@ def tensor(a: MotiveClass, b: MotiveClass) -> MotiveClass:
                 "tensor product of two motives with lambda-classes is outside the supported subring"
             )
         a, b = b, a
-    # b is Tate, so every product keeps a's lambda index, which is <= 2g
-    shifts = [(key.lefschetz_power, mult) for key, mult in b._terms.items()]
-    terms: dict[BasisKey, int] = {}
-    for (index, power), mult_a in a._terms.items():
-        for shift, mult_b in shifts:
-            key = tuple.__new__(BasisKey, (index, power + shift))
-            terms[key] = terms.get(key, 0) + mult_a * mult_b
-    return MotiveClass._from_clean(genus, terms)
+    if b.is_zero:
+        return zero(genus)
+    # b is Tate, so its one row P_0 multiplies each of a's rows
+    shifts = b._rows[0].items()
+    rows: dict[int, dict[int, int]] = {}
+    for index, row in a._rows.items():
+        product: dict[int, int] = {}
+        for power, mult_a in row.items():
+            for shift, mult_b in shifts:
+                product[power + shift] = product.get(power + shift, 0) + mult_a * mult_b
+        rows[index] = product
+    return MotiveClass._from_rows(genus, rows)

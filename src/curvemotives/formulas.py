@@ -24,7 +24,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import (
-    BasisKey,
     MotiveClass,
     _check_genus,
     direct_sum,
@@ -36,15 +35,8 @@ from .core import (
 
 
 def _tate(genus: int, counts: dict) -> MotiveClass:
-    """The Tate motive (+)_e n_e L^e of a map e -> n_e with every n_e > 0."""
-    return MotiveClass._from_clean(
-        genus, {tuple.__new__(BasisKey, (0, e)): n for e, n in counts.items()}
-    )
-
-
-def _tate_geometric(genus: int, top: int, step: int = 1) -> MotiveClass:
-    """1 (+) L^step (+) ... (+) L^top; the zero motive when top < 0."""
-    return _tate(genus, dict.fromkeys(range(0, top + 1, step), 1))
+    """The Tate motive (+)_e n_e L^e of a map e -> n_e > 0, kept as its row P_0."""
+    return MotiveClass._from_rows(genus, {0: counts} if counts else {})
 
 
 def _blocks(genus: int) -> list:
@@ -77,12 +69,8 @@ def sym_power_curve(n: int, genus: int) -> MotiveClass:
     _check_genus(genus)
     if n < 0:
         raise ValueError(f"symmetric power must be >= 0, got {n}")
-    terms = {
-        tuple.__new__(BasisKey, (b, c)): 1
-        for b in range(0, min(n, 2 * genus) + 1)
-        for c in range(0, n - b + 1)
-    }
-    return MotiveClass._from_clean(genus, terms)
+    rows = {b: dict.fromkeys(range(n - b + 1), 1) for b in range(min(n, 2 * genus) + 1)}
+    return MotiveClass._from_rows(genus, rows)
 
 
 @lru_cache(maxsize=None)
@@ -91,8 +79,8 @@ def moduli_motive_delbano(genus: int) -> MotiveClass:
     _check_genus(genus)
     total = zero(genus)
     for k in range(0, genus + 1):
-        linear = _tate_geometric(genus, genus - k - 1)
-        quadratic = _tate_geometric(genus, 2 * genus - 2 * k - 2, step=2)
+        linear = _tate(genus, dict.fromkeys(range(genus - k), 1))
+        quadratic = _tate(genus, dict.fromkeys(range(0, 2 * genus - 2 * k - 1, 2), 1))
         summand = tensor(
             tensor(tensor(lambda_h1(genus, k), linear), quadratic),
             lefschetz(genus, k),
@@ -120,9 +108,7 @@ def lambda_coefficient(motive: MotiveClass, index: int) -> MotiveClass:
     """
     if index < 0:
         raise ValueError(f"lambda index must be >= 0, got {index}")
-    return _tate(
-        motive.genus, {power: mult for (b, power), mult in motive.items() if b == index}
-    )
+    return _tate(motive.genus, motive._rows.get(index, {}))
 
 
 def proof_chain_check(genus: int, index: int) -> bool:

@@ -28,11 +28,11 @@ from .polynomials import BiPolynomial, IntPolynomial
 def poincare_polynomial(motive: MotiveClass) -> IntPolynomial:
     """Betti realization: sum of C(2g, b) t^(b+2c) over the term map."""
     g = motive.genus
-    row = [comb(2 * g, b) for b in range(2 * g + 1)]
     coeffs: dict = {}
-    for (b, c), mult in motive.items():
-        degree = b + 2 * c
-        coeffs[degree] = coeffs.get(degree, 0) + mult * row[b]
+    for b, row in motive.rows():
+        weight = comb(2 * g, b)
+        for c, mult in row:
+            coeffs[b + 2 * c] = coeffs.get(b + 2 * c, 0) + mult * weight
     # every multiplicity is positive and every b <= 2g, so no coefficient is 0
     return IntPolynomial._raw(coeffs, "t")
 
@@ -40,18 +40,16 @@ def poincare_polynomial(motive: MotiveClass) -> IntPolynomial:
 def hodge_polynomial(motive: MotiveClass) -> BiPolynomial:
     """Hodge realization; coefficients are the Hodge numbers h^{p,q}."""
     g = motive.genus
-    rows: dict = {}  # b -> [(p, b - p, C(g,p) C(g,b-p))], only the nonzero weights
     coeffs: dict = {}
-    for (b, c), mult in motive.items():
-        row = rows.get(b)
-        if row is None:
-            row = rows[b] = [
-                (p, b - p, comb(g, p) * comb(g, b - p))
-                for p in range(max(0, b - g), min(b, g) + 1)
-            ]
-        for p, q, weight in row:
-            pq = (p + c, q + c)
-            coeffs[pq] = coeffs.get(pq, 0) + mult * weight
+    for b, row in motive.rows():
+        # (p, q, C(g,p) C(g,q)) for p + q = b, only the nonzero weights
+        weights = [
+            (p, b - p, comb(g, p) * comb(g, b - p)) for p in range(max(0, b - g), min(b, g) + 1)
+        ]
+        for c, mult in row:
+            for p, q, weight in weights:
+                pq = (p + c, q + c)
+                coeffs[pq] = coeffs.get(pq, 0) + mult * weight
     # positive multiplicities times positive weights: no coefficient is 0
     return BiPolynomial._raw(coeffs)
 

@@ -3,14 +3,19 @@ from math import comb
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from curvemotives import (
     BasisKey,
     MotiveClass,
     NonTateTensor,
     direct_sum,
+    lambda_coefficient,
     lambda_h1,
     lefschetz,
+    moduli_motive_conjectural,
+    moduli_motive_delbano,
+    sym_power_curve,
     tensor,
     unit,
     zero,
@@ -215,15 +220,41 @@ def test_from_dict_missing_field_raises_value_error(data, missing):
     [
         {"genus": 2, "terms": [[0, 0, 1]]},
         {"genus": 2, "terms": [{"lambda": 0, "lefschetz": 0, "mult": None}]},
+        {"genus": 2, "terms": [{"lambda": 0, "lefschetz": 0, "mult": 1.9}]},
+        {"genus": 2, "terms": [{"lambda": 0, "lefschetz": 0, "mult": True}]},
+        {"genus": 2, "terms": [{"lambda": 0, "lefschetz": 0, "mult": "1.9"}]},
+        {"genus": 2, "terms": [{"lambda": 0, "lefschetz": 0, "mult": "-1"}]},
+        {"genus": 2, "terms": [{"lambda": 0, "lefschetz": 0, "mult": "1_0"}]},
+        {"genus": 2, "terms": [{"lambda": 0, "lefschetz": 0, "mult": " 3"}]},
         {"genus": 2, "terms": 7},
         [("genus", 2), ("terms", [])],
         None,
     ],
-    ids=["term-is-a-list", "mult-is-none", "terms-not-iterable", "data-is-a-list", "data-is-none"],
+    ids=[
+        "term-is-a-list",
+        "mult-is-none",
+        "mult-is-a-float",
+        "mult-is-a-bool",
+        "mult-is-a-float-string",
+        "mult-is-negative",
+        "mult-has-an-underscore",
+        "mult-has-a-space",
+        "terms-not-iterable",
+        "data-is-a-list",
+        "data-is-none",
+    ],
 )
 def test_from_dict_malformed_data_raises_value_error(data):
     with pytest.raises(ValueError, match="motive dict"):
         MotiveClass.from_dict(data)
+
+
+def test_from_dict_adds_entries_with_the_same_key_like_the_constructor():
+    term = {"lambda": 0, "lefschetz": 0}
+    data = {"genus": 2, "terms": [{**term, "mult": "1"}, {**term, "mult": 2}]}
+    motive = MotiveClass.from_dict(data)
+    assert motive == MotiveClass(2, [((0, 0), 1), ((0, 0), 2)])
+    assert str(motive) == "3*1"
 
 
 def test_large_multiplicities_survive_serialization():
@@ -288,3 +319,36 @@ def test_closure_invariants(pair):
         assert all(mult > 0 for _, mult in result.items())
         assert all(key.lambda_index <= 2 * result.genus for key, _ in result.items())
         assert result.to_json() == result.to_json()
+
+
+def _assert_canonical_rows(m: MotiveClass) -> None:
+    # the validating constructor drops empty rows, zero multiplicities and
+    # indices above 2g, so a motive holding any of them compares unequal
+    assert m == MotiveClass(m.genus, m.items())
+    keys = [key for key, _ in m.items()]
+    assert all(left < right for left, right in zip(keys, keys[1:]))
+
+
+@given(
+    motive_pairs(tate_second=True),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=11),
+)
+def test_every_builder_keeps_the_row_invariants(pair, n, index):
+    a, b = pair
+    g = a.genus
+    delbano = moduli_motive_delbano(g)
+    for m in (
+        direct_sum(a, b),
+        direct_sum(b, a),
+        tensor(a, b),
+        tensor(b, a),
+        tensor(a, zero(g)),
+        tensor(zero(g), a),
+        sym_power_curve(n, g),
+        delbano,
+        moduli_motive_conjectural(g),
+        lambda_coefficient(a, index),
+        lambda_coefficient(delbano, index),
+    ):
+        _assert_canonical_rows(m)
