@@ -153,6 +153,20 @@ MALFORMED = [
     ("1 & L", 3),
     ("h1*", 4),
     ("L^x", 3),
+    ("(L^2^3)", 5),
+    ("L^2^3", 4),
+    ("(L)^2^3", 6),
+    ("((L)", 5),
+    ("1 + (2", 6),
+    ("(1 2", 4),
+    ("L)", 2),
+    (")", 1),
+    ("^2", 1),
+    ("(L^)", 4),
+    ("lam(2)^", 8),
+    ("Sym(1)(", 7),
+    ("(((", 4),
+    ("L + (h1 * (M Mconj))", 14),
 ]
 
 
