@@ -491,9 +491,7 @@ def main(argv=None) -> int:
     except (dsl.ParseError, OSError) as exc:  # ParseError is a ValueError: caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # NonTateTensor is a ValueError; RecursionError comes from expressions
-    # nested or chained too deeply for the recursive parser and evaluator.
-    except (ValueError, ArithmeticError, RecursionError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # NonTateTensor is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
 

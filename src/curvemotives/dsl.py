@@ -17,8 +17,7 @@ evaluation time, so one expression can be swept over a genus range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import re
 
 from .core import (
     MotiveClass,
@@ -46,268 +45,286 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _require_nonnegative(value: int, what: str) -> None:
+def _nat(value: int, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class Unit:
-    pass
+class MotiveExpr(tuple):
+    """An expression node: the tuple of its fields, child nodes first.  It
+    equals only a node of the same type with equal fields."""
+
+    _arity = 0  # how many leading fields are child nodes
+    _rank = 4  # how tightly the printed form binds: 1 sum, 2 product, 3 power, 4 atom
+
+    def __new__(cls):
+        return tuple.__new__(cls)
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __eq__(self, other):
+        return isinstance(other, MotiveExpr) and _shape(self) == _shape(other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self):
+        return _fold(self, _node_repr)
 
 
-@dataclass(frozen=True)
-class Lefschetz:
-    power: int = 1
-
-    def __post_init__(self):
-        _require_nonnegative(self.power, "Lefschetz power")
+class Unit(MotiveExpr):
+    """``1``, the unit motive."""
 
 
-@dataclass(frozen=True)
-class LambdaH1:
-    index: int
+class Lefschetz(MotiveExpr):
+    def __new__(cls, power=1):
+        return tuple.__new__(cls, (_nat(power, "Lefschetz power"),))
 
-    def __post_init__(self):
-        _require_nonnegative(self.index, "lambda index")
-
-
-@dataclass(frozen=True)
-class Curve:
-    pass
+    @property
+    def _rank(self):
+        return 4 if self[0] == 1 else 3  # L^p prints as a power
 
 
-@dataclass(frozen=True)
-class SymPower:
-    n: int
-
-    def __post_init__(self):
-        _require_nonnegative(self.n, "symmetric power")
+class LambdaH1(MotiveExpr):
+    def __new__(cls, index):
+        return tuple.__new__(cls, (_nat(index, "lambda index"),))
 
 
-@dataclass(frozen=True)
-class ModuliDelBano:
-    pass
+class Curve(MotiveExpr):
+    """``C``, the curve, the same as ``Sym(1)``."""
 
 
-@dataclass(frozen=True)
-class ModuliConjectural:
-    pass
+class SymPower(MotiveExpr):
+    def __new__(cls, n):
+        return tuple.__new__(cls, (_nat(n, "symmetric power"),))
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: "MotiveExpr"
-    right: "MotiveExpr"
+class ModuliDelBano(MotiveExpr):
+    """``M``, del Bano's closed form of the moduli motive."""
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "MotiveExpr"
-    right: "MotiveExpr"
+class ModuliConjectural(MotiveExpr):
+    """``Mconj``, the symmetric-power form of the moduli motive."""
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "MotiveExpr"
-    exponent: int
+class _Binary(MotiveExpr):
+    _arity = 2
 
-    def __post_init__(self):
-        _require_nonnegative(self.exponent, "tensor power")
+    def __new__(cls, left, right):
+        return tuple.__new__(cls, (left, right))
 
 
-MotiveExpr = Union[
-    Unit, Lefschetz, LambdaH1, Curve, SymPower,
-    ModuliDelBano, ModuliConjectural, Sum, Product, Power,
-]
+class Sum(_Binary):
+    _rank = 1
 
-_KEYWORDS = ("L", "h1", "lam", "C", "Sym", "M", "Mconj")
+
+class Product(_Binary):
+    _rank = 2
+
+
+class Power(MotiveExpr):
+    _arity = 1
+    _rank = 3
+
+    def __new__(cls, base, exponent):
+        return tuple.__new__(cls, (base, _nat(exponent, "tensor power")))
+
+
+def _paren(text: str, node: MotiveExpr, rank: int) -> str:
+    """``text`` of ``node``, in parentheses if it binds less tightly than ``rank``."""
+    return text if node._rank >= rank else f"({text})"
+
+
+# The operators associate to the left, so a right operand of equal rank is parenthesized.
+_TEXTS = {
+    Unit: lambda node: "1",
+    Lefschetz: lambda node: "L" if node[0] == 1 else f"L^{node[0]}",
+    LambdaH1: lambda node: "h1" if node[0] == 1 else f"lam({node[0]})",
+    Curve: lambda node: "C",
+    SymPower: lambda node: f"Sym({node[0]})",
+    ModuliDelBano: lambda node: "M",
+    ModuliConjectural: lambda node: "Mconj",
+    Sum: lambda node, left, right: f"{left} + {_paren(right, node[1], 2)}",
+    Product: lambda node, left, right: f"{_paren(left, node[0], 2)} * {_paren(right, node[1], 3)}",
+    Power: lambda node, base: f"{_paren(base, node[0], 4)}^{node[1]}",
+}
+
+
+def _power(node: Power, genus: int, base: MotiveClass) -> MotiveClass:
+    """``base`` to the node's exponent by square and multiply: O(log n) tensor products."""
+    result = unit(genus)
+    for digit in f"{node[1]:b}":
+        result = tensor(result, result)
+        if digit == "1":
+            result = tensor(result, base)
+    return result
+
+
+_VALUES = {
+    Unit: lambda node, genus: unit(genus),
+    Lefschetz: lambda node, genus: lefschetz(genus, node[0]),
+    LambdaH1: lambda node, genus: lambda_h1(genus, node[0]),
+    Curve: lambda node, genus: sym_power_curve(1, genus),
+    SymPower: lambda node, genus: sym_power_curve(node[0], genus),
+    ModuliDelBano: lambda node, genus: moduli_motive_delbano(genus),
+    ModuliConjectural: lambda node, genus: moduli_motive_conjectural(genus),
+    Sum: lambda node, genus, left, right: direct_sum(left, right),
+    Product: lambda node, genus, left, right: tensor(left, right),
+    Power: _power,
+}
+
+
+def _post_order(expr: MotiveExpr) -> list:
+    """Every node of the tree, children before parents and left before right."""
+    order = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, MotiveExpr):
+            raise TypeError(f"not a MotiveExpr node: {node!r}")
+        order.append(node)
+        stack.extend(node[: node._arity])  # the right child is popped first
+    order.reverse()
+    return order
+
+
+def _fold(expr: MotiveExpr, combine):
+    """The root's value, each node's being ``combine(node, *children's values)``."""
+    values: list = []
+    for node in _post_order(expr):
+        cut = len(values) - node._arity
+        values[cut:] = [combine(node, *values[cut:])]
+    return values[0]
+
+
+def _shape(expr: MotiveExpr) -> list:
+    """Type and other fields of every node in post-order, which determine the tree."""
+    return [(type(node), node[node._arity:]) for node in _post_order(expr)]
+
+
+def _node_repr(node: MotiveExpr, *children: str) -> str:
+    fields = [*children, *map(repr, node[node._arity:])]
+    return f"{type(node).__name__}({', '.join(fields)})"
+
+
 _ATOM_DESCRIPTION = "an atom ('1', 'L', 'h1', 'lam(k)', 'C', 'Sym(n)', 'M', 'Mconj' or '(')"
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER, NAME, +, *, ^, (, ), EOF
-    text: str
-    position: int  # 1-based byte offset
-    value: int = 0
-
-
-def _is_ascii_letter(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
+_NAMED_ATOMS = {
+    "L": Lefschetz(1),
+    "h1": LambdaH1(1),
+    "C": Curve(),
+    "M": ModuliDelBano(),
+    "Mconj": ModuliConjectural(),
+}
+_KEYWORDS = ("lam", "Sym", *_NAMED_ATOMS)
+_BINARY = {"+": Sum, "*": Product}
+# whitespace, then a number, a name or one other character
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z][A-Za-z0-9]*)|(\S))")
 
 
 def _tokenize(source: str) -> list:
+    """``(kind, 1-based byte offset, value)`` per token, then an EOF token.
+    A number is of kind NUMBER with its value; a name or operator is its own kind."""
     tokens = []
-    i = 0
-    byte_pos = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        start = byte_pos
-        if ch.isspace():
-            byte_pos += len(ch.encode("utf-8"))
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            text = source[i:j]
-            tokens.append(_Token("NUMBER", text, start, int(text)))
-            byte_pos += j - i
-            i = j
-            continue
-        if _is_ascii_letter(ch):
-            j = i
-            while j < n and (_is_ascii_letter(source[j]) or "0" <= source[j] <= "9"):
-                j += 1
-            text = source[i:j]
-            if text not in _KEYWORDS:
-                raise ParseError(f"unknown name '{text}'", start)
-            tokens.append(_Token("NAME", text, start))
-            byte_pos += j - i
-            i = j
-            continue
-        if ch in "+*^()":
-            tokens.append(_Token(ch, ch, start))
-            byte_pos += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start)
-    tokens.append(_Token("EOF", "", byte_pos))
+    shift = 1  # byte offset minus character index; only whitespace may be non-ASCII
+    for match in _TOKEN.finditer(source):
+        number, name, other = match.groups()
+        start = match.start(match.lastindex)
+        space = source[match.start():start]
+        shift += len(space.encode("utf-8")) - len(space)
+        position = start + shift
+        if number is not None:
+            tokens.append(("NUMBER", position, int(number)))
+        elif name is not None and name not in _KEYWORDS:
+            raise ParseError(f"unknown name '{name}'", position)
+        elif other is not None and other not in "+*^()":
+            raise ParseError(f"unexpected character {other!r}", position)
+        else:
+            tokens.append((name or other, position, 0))
+    tokens.append(("EOF", len(source.encode("utf-8")) + 1, 0))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list):
-        self._tokens = tokens
-        self._index = 0
+def _expect(tokens: list, i: int, kind: str, description: str) -> int:
+    """The value of token ``i``, which must be of ``kind``."""
+    found, position, value = tokens[i]
+    if found != kind:
+        raise ParseError(f"expected {description}", position)
+    return value
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._index]
 
-    def _advance(self) -> _Token:
-        token = self._tokens[self._index]
-        self._index += 1
-        return token
-
-    def _expect(self, kind: str, description: str) -> _Token:
-        token = self._peek()
-        if token.kind != kind:
-            raise ParseError(f"expected {description}", token.position)
-        return self._advance()
-
-    def expression(self) -> MotiveExpr:
-        node = self.term()
-        while self._peek().kind == "+":
-            self._advance()
-            node = Sum(node, self.term())
-        return node
-
-    def term(self) -> MotiveExpr:
-        node = self.factor()
-        while self._peek().kind == "*":
-            self._advance()
-            node = Product(node, self.factor())
-        return node
-
-    def factor(self) -> MotiveExpr:
-        node = self.atom()
-        if self._peek().kind == "^":
-            self._advance()
-            exponent = self._expect("NUMBER", "a number after '^'")
-            return Power(node, exponent.value)
-        return node
-
-    def atom(self) -> MotiveExpr:
-        token = self._peek()
-        if token.kind == "NUMBER":
-            if token.value != 1:
-                raise ParseError(f"expected {_ATOM_DESCRIPTION}", token.position)
-            self._advance()
-            return Unit()
-        if token.kind == "NAME":
-            self._advance()
-            if token.text == "L":
-                return Lefschetz(1)
-            if token.text == "h1":
-                return LambdaH1(1)
-            if token.text == "C":
-                return Curve()
-            if token.text == "M":
-                return ModuliDelBano()
-            if token.text == "Mconj":
-                return ModuliConjectural()
-            # lam(k) / Sym(n)
-            self._expect("(", f"'(' after '{token.text}'")
-            number = self._expect("NUMBER", f"a number inside '{token.text}(...)'")
-            self._expect(")", "')'")
-            return LambdaH1(number.value) if token.text == "lam" else SymPower(number.value)
-        if token.kind == "(":
-            self._advance()
-            node = self.expression()
-            self._expect(")", "')'")
-            return node
-        raise ParseError(f"expected {_ATOM_DESCRIPTION}", token.position)
+def _reduce(operands: list, operators: list, rank: int) -> None:
+    """Apply pending operators of ``rank`` or more, back to an open parenthesis (None)."""
+    while operators and operators[-1] is not None and operators[-1]._rank >= rank:
+        right = operands.pop()
+        operands[-1] = operators.pop()(operands[-1], right)
 
 
 def parse(source: str) -> MotiveExpr:
-    """Parse a DSL expression; raise ParseError with a byte offset otherwise."""
-    parser = _Parser(_tokenize(source))
-    node = parser.expression()
-    trailing = parser._peek()
-    if trailing.kind != "EOF":
-        raise ParseError("unexpected trailing input", trailing.position)
-    return node
+    """Parse a DSL expression; raise ParseError with a byte offset otherwise.
 
-
-_PLAIN_ATOMS = (Unit, LambdaH1, Curve, SymPower, ModuliDelBano, ModuliConjectural)
-
-
-def _is_plain_atom(expr: MotiveExpr) -> bool:
-    if isinstance(expr, Lefschetz):
-        return expr.power == 1
-    return isinstance(expr, _PLAIN_ATOMS)
+    One pass over the tokens with an operand and an operator stack: each
+    round reads an atom, then "^ nat", any ")" closing a group (an atom
+    again) and a binary operator or the end.  Inside an open group a token
+    that cannot follow an atom is a missing ')', outside it trailing input.
+    """
+    tokens = _tokenize(source)
+    operands: list = []
+    operators: list = []
+    depth = 0
+    i = 0
+    while True:
+        kind, position, value = tokens[i]
+        i += 1
+        if kind == "(":
+            operators.append(None)
+            depth += 1
+            continue
+        if kind in _NAMED_ATOMS:
+            operands.append(_NAMED_ATOMS[kind])
+        elif kind == "NUMBER" and value == 1:
+            operands.append(Unit())
+        elif kind == "lam" or kind == "Sym":
+            _expect(tokens, i, "(", f"'(' after '{kind}'")
+            number = _expect(tokens, i + 1, "NUMBER", f"a number inside '{kind}(...)'")
+            _expect(tokens, i + 2, ")", "')'")
+            operands.append(LambdaH1(number) if kind == "lam" else SymPower(number))
+            i += 3
+        else:
+            raise ParseError(f"expected {_ATOM_DESCRIPTION}", position)
+        while True:
+            kind, position, value = tokens[i]
+            if kind == "^":
+                exponent = _expect(tokens, i + 1, "NUMBER", "a number after '^'")
+                operands[-1] = Power(operands[-1], exponent)
+                i += 2
+                kind, position, value = tokens[i]
+            if kind != ")" or not depth:
+                break
+            _reduce(operands, operators, 0)
+            operators.pop()
+            depth -= 1
+            i += 1
+        i += 1
+        if kind in _BINARY:
+            _reduce(operands, operators, _BINARY[kind]._rank)
+            operators.append(_BINARY[kind])
+        elif depth:
+            raise ParseError("expected ')'", position)
+        elif kind != "EOF":
+            raise ParseError("unexpected trailing input", position)
+        else:
+            _reduce(operands, operators, 0)
+            return operands[0]
 
 
 def print_expr(expr: MotiveExpr) -> str:
     """Canonical text with minimal parentheses; reparses to the same tree
     for every tree the grammar denotes."""
-    if isinstance(expr, Sum):
-        left = print_expr(expr.left)
-        right = print_expr(expr.right)
-        if isinstance(expr.right, Sum):
-            right = f"({right})"
-        return f"{left} + {right}"
-    if isinstance(expr, Product):
-        left = print_expr(expr.left)
-        if isinstance(expr.left, Sum):
-            left = f"({left})"
-        right = print_expr(expr.right)
-        if isinstance(expr.right, (Sum, Product)):
-            right = f"({right})"
-        return f"{left} * {right}"
-    if isinstance(expr, Power):
-        base = print_expr(expr.base)
-        if not _is_plain_atom(expr.base):
-            base = f"({base})"
-        return f"{base}^{expr.exponent}"
-    if isinstance(expr, Unit):
-        return "1"
-    if isinstance(expr, Lefschetz):
-        return "L" if expr.power == 1 else f"L^{expr.power}"
-    if isinstance(expr, LambdaH1):
-        return "h1" if expr.index == 1 else f"lam({expr.index})"
-    if isinstance(expr, Curve):
-        return "C"
-    if isinstance(expr, SymPower):
-        return f"Sym({expr.n})"
-    if isinstance(expr, ModuliDelBano):
-        return "M"
-    if isinstance(expr, ModuliConjectural):
-        return "Mconj"
-    raise TypeError(f"not a MotiveExpr node: {expr!r}")
+    return _fold(expr, lambda node, *texts: _TEXTS[type(node)](node, *texts))
 
 
 def evaluate(expr: MotiveExpr, genus: int) -> MotiveClass:
@@ -318,41 +335,11 @@ def evaluate(expr: MotiveExpr, genus: int) -> MotiveClass:
     offending subexpression.
     """
     _check_genus(genus)
-    return _eval(expr, genus)
-
-
-def _eval(expr: MotiveExpr, genus: int) -> MotiveClass:
-    if isinstance(expr, Unit):
-        return unit(genus)
-    if isinstance(expr, Lefschetz):
-        return lefschetz(genus, expr.power)
-    if isinstance(expr, LambdaH1):
-        return lambda_h1(genus, expr.index)
-    if isinstance(expr, Curve):
-        return sym_power_curve(1, genus)
-    if isinstance(expr, SymPower):
-        return sym_power_curve(expr.n, genus)
-    if isinstance(expr, ModuliDelBano):
-        return moduli_motive_delbano(genus)
-    if isinstance(expr, ModuliConjectural):
-        return moduli_motive_conjectural(genus)
-    if isinstance(expr, Sum):
-        return direct_sum(_eval(expr.left, genus), _eval(expr.right, genus))
-    if isinstance(expr, Product):
-        left = _eval(expr.left, genus)
-        right = _eval(expr.right, genus)
-        return _tensor_named(left, right, expr)
-    if isinstance(expr, Power):
-        base = _eval(expr.base, genus)
-        result = unit(genus)
-        for _ in range(expr.exponent):
-            result = _tensor_named(result, base, expr)
-        return result
-    raise TypeError(f"not a MotiveExpr node: {expr!r}")
-
-
-def _tensor_named(left: MotiveClass, right: MotiveClass, expr: MotiveExpr) -> MotiveClass:
-    try:
-        return tensor(left, right)
-    except NonTateTensor as exc:
-        raise NonTateTensor(f"{exc.args[0]} in '{print_expr(expr)}'") from exc
+    values: list = []
+    for node in _post_order(expr):
+        cut = len(values) - node._arity
+        try:
+            values[cut:] = [_VALUES[type(node)](node, genus, *values[cut:])]
+        except NonTateTensor as exc:
+            raise NonTateTensor(f"{exc.args[0]} in '{print_expr(node)}'") from exc
+    return values[0]

@@ -17,7 +17,7 @@ not tautology.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .core import MotiveClass, _check_genus
@@ -134,26 +134,16 @@ def macdonald_oracle(n: int, genus: int) -> IntPolynomial:
     return macdonald_series(genus, n)[n]
 
 
-@dataclass(frozen=True)
-class HodgeBlock:
+class HodgeBlock(namedtuple("HodgeBlock", "sym_power twist hodge")):
     """One summand of the symmetric-power decomposition, realized in (u, v)."""
-
-    sym_power: int
-    twist: int
-    hodge: BiPolynomial
 
     @property
     def label(self) -> str:
         return f"Sym({self.sym_power})*L^{self.twist}"
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(namedtuple("BlockReport", "genus blocks total")):
     """Per-block Hodge contributions at one genus, plus their sum."""
-
-    genus: int
-    blocks: tuple
-    total: BiPolynomial
 
     def to_dict(self) -> dict:
         return {

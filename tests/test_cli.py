@@ -1,10 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from curvemotives import cli
 from curvemotives.cli import build_parser, main
+from curvemotives.dsl import print_expr
+from helpers import expressions
 
 EVAL_SYM0 = '{"genus":2,"terms":[{"lambda":0,"lefschetz":0,"mult":"1"}]}\n'
 
@@ -260,20 +270,59 @@ def test_every_subcommand_honors_every_format(capsys, argv, fmt):
 
 
 @pytest.mark.parametrize(
-    "expr",
+    "expr,expected_code,expected_out",
     [
-        "(" * 2000 + "L" + ")" * 2000,
-        " + ".join(["L"] * 3000),
-        "h1 * (" + " + ".join(["h1"] * 1500) + ")",
+        ("(" * 2000 + "L" + ")" * 2000, 0, "L\n"),
+        ("(" * 60000 + "L" + ")" * 60000, 0, "L\n"),
+        (" + ".join(["L"] * 3000), 0, "3000*L\n"),
+        ("h1 * (" + " + ".join(["h1"] * 1500) + ")", 3, ""),
     ],
-    ids=["nested-parentheses", "flat-sum", "nontate-over-long-sum"],
+    ids=["nested-parentheses", "nested-parentheses-60000", "flat-sum", "nontate-over-long-sum"],
 )
-def test_too_deep_expression_exits_3_with_one_error_line(capsys, expr):
+def test_deep_expression_evaluates_or_exits_3_with_one_error_line(
+    capsys, expr, expected_code, expected_out
+):
     code, out, err = run(capsys, "eval", "--genus", "2", expr)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    assert code == expected_code
+    assert out == expected_out
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions, st.integers(min_value=2, max_value=4), st.data())
+def test_eval_of_a_cut_or_altered_expression_ends_in_a_defined_exit(expr, genus, data):
+    text = print_expr(expr)
+    cut = data.draw(st.integers(min_value=0, max_value=len(text)))
+    if data.draw(st.booleans()):
+        text = text[:cut]
+    else:
+        text = text[:cut] + data.draw(st.characters()) + text[cut:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--genus", str(genus), text])
+    assert code in (0, 2, 3)
+    if text.startswith("-"):
+        # argparse reads the text as an option and prints its usage message
+        assert code == 2
+    elif code == 0:
+        assert err.getvalue() == "" and out.getvalue().endswith("\n")
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, curvemotives.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):

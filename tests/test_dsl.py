@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
@@ -87,6 +89,13 @@ def test_parse_error_position_is_byte_offset():
     with pytest.raises(ParseError) as info:
         parse("L é")
     assert info.value.position == 3
+    # U+3000 is whitespace of three bytes
+    with pytest.raises(ParseError) as info:
+        parse("L\u3000)")
+    assert info.value.position == 5
+    with pytest.raises(ParseError) as info:
+        parse("L +\u3000")
+    assert info.value.position == 7
 
 
 def test_print_examples():
@@ -97,6 +106,8 @@ def test_print_examples():
     assert print_expr(Product(Lefschetz(1), Product(Curve(), Curve()))) == "L * (C * C)"
     assert print_expr(LambdaH1(1)) == "h1"
     assert print_expr(LambdaH1(3)) == "lam(3)"
+    assert print_expr(Power(Lefschetz(2), 3)) == "(L^2)^3"
+    assert print_expr(Power(Lefschetz(1), 3)) == "L^3"
 
 
 @settings(max_examples=300)
@@ -111,6 +122,44 @@ def test_parser_total_on_arbitrary_text(source):
         parse(source)
     except ParseError as exc:
         assert exc.position >= 1
+
+
+def test_nodes_are_tuples_equal_only_within_their_type():
+    assert Sum(Unit(), Curve()) == Sum(left=Unit(), right=Curve())
+    assert Sum(Unit(), Curve()) != Product(Unit(), Curve())
+    assert Lefschetz(1) != LambdaH1(1)
+    assert Unit() != () and Lefschetz(2) != (2,)
+    assert Lefschetz() == Lefschetz(power=1)
+    assert Power(base=Curve(), exponent=2) == Power(Curve(), 2)
+    assert LambdaH1(index=2) == LambdaH1(2) and SymPower(n=3) == SymPower(3)
+    assert hash(Sum(Unit(), Curve())) == hash(Sum(Unit(), Curve()))
+    assert repr(Sum(Unit(), Lefschetz(1))) == "Sum(Unit(), Lefschetz(1))"
+    assert repr(Power(Product(LambdaH1(2), SymPower(3)), 4)) == (
+        "Power(Product(LambdaH1(2), SymPower(3)), 4)"
+    )
+
+
+def test_non_nodes_rejected():
+    with pytest.raises(TypeError):
+        print_expr(Sum(Unit(), 1))
+    with pytest.raises(TypeError):
+        evaluate(Power("L", 2), 2)
+    with pytest.raises(TypeError):
+        Unit(1)
+
+
+def test_deep_trees_parse_print_and_evaluate():
+    flat = parse(" + ".join(["L"] * 30000))
+    assert parse(print_expr(flat)) == flat
+    assert evaluate(flat, 2) == MotiveClass(2, {(0, 1): 30000})
+    nested = Lefschetz(1)
+    for _ in range(30000):
+        nested = Sum(Unit(), nested)
+    text = print_expr(nested)
+    assert text.count("(") == 29999
+    assert parse(text) == nested
+    assert repr(nested).startswith("Sum(Unit(), Sum(Unit(), ")
+    assert parse("(" * 60000 + "M" + ")" * 60000) == ModuliDelBano()
 
 
 def test_negative_node_values_rejected():
@@ -152,6 +201,30 @@ def test_evaluate_non_tate_tensor_names_subexpression():
         evaluate(parse("h1^2"), 2)
     with pytest.raises(NonTateTensor, match=r"C \* C"):
         evaluate(parse("1 + C * C"), 2)
+    with pytest.raises(NonTateTensor, match=r"in '\(h1 \+ L\)\^3'$"):
+        evaluate(parse("(h1 + L)^3"), 2)
+
+
+def test_evaluate_large_power_by_squaring():
+    assert evaluate(parse("L^99999999"), 2) == MotiveClass(2, {(0, 99999999): 1})
+    assert evaluate(parse("(1 + L)^64"), 2) == MotiveClass(
+        2, {(0, c): comb(64, c) for c in range(65)}
+    )
+
+
+@given(expressions, st.integers(min_value=0, max_value=5), st.integers(min_value=2, max_value=4))
+def test_power_equals_the_left_nested_product(base, n, genus):
+    product = Unit()
+    for k in range(n):
+        product = base if k == 0 else Product(product, base)
+    try:
+        evaluate(base, genus)  # a power evaluates its base even for n = 0
+        expected = evaluate(product, genus)
+    except NonTateTensor:
+        with pytest.raises(NonTateTensor):
+            evaluate(Power(base, n), genus)
+        return
+    assert evaluate(Power(base, n), genus) == expected
 
 
 def test_evaluate_rejects_low_genus():
