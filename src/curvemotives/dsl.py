@@ -15,8 +15,6 @@ the left.  Genus is not part of the language: it is supplied at
 evaluation time, so one expression can be swept over a genus range.
 """
 
-from __future__ import annotations
-
 import re
 
 from .core import (
@@ -70,7 +68,8 @@ class MotiveExpr(tuple):
     def __ne__(self, other):
         return not self == other
 
-    __hash__ = tuple.__hash__
+    def __hash__(self):  # not tuple.__hash__, which recurses through the children in C
+        return hash(tuple(_shape(self)))
 
     def __repr__(self):
         return _fold(self, _node_repr)

@@ -157,9 +157,17 @@ def test_deep_trees_parse_print_and_evaluate():
         nested = Sum(Unit(), nested)
     text = print_expr(nested)
     assert text.count("(") == 29999
-    assert parse(text) == nested
-    assert repr(nested).startswith("Sum(Unit(), Sum(Unit(), ")
+    assert parse(text) == nested and hash(parse(text)) == hash(nested)
+    assert repr(parse("1 + (" * 3000 + "L" + ")" * 3000)).startswith("Sum(Unit(), Sum(Unit(), ")
     assert parse("(" * 60000 + "M" + ")" * 60000) == ModuliDelBano()
+
+
+def test_hash_of_a_very_deep_tree():
+    # tuple.__hash__ would recurse in C through the children and overflow the stack
+    chain = Lefschetz(1)
+    for _ in range(300000):
+        chain = Sum(chain, Unit())
+    assert isinstance(hash(chain), int)
 
 
 def test_negative_node_values_rejected():
