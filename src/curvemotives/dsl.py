@@ -335,7 +335,7 @@ def evaluate(expr: MotiveExpr, genus: int) -> MotiveClass:
     """
     _check_genus(genus)
     values: list = []
-    for node in _post_order(expr):
+    for node in _post_order(expr):  # not _fold, so the failing node is at hand to name
         cut = len(values) - node._arity
         try:
             values[cut:] = [_VALUES[type(node)](node, genus, *values[cut:])]

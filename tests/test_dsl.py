@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import comb
 
 import pytest
@@ -134,6 +136,8 @@ def test_nodes_are_tuples_equal_only_within_their_type():
     assert LambdaH1(index=2) == LambdaH1(2) and SymPower(n=3) == SymPower(3)
     assert hash(Sum(Unit(), Curve())) == hash(Sum(Unit(), Curve()))
     assert repr(Sum(Unit(), Lefschetz(1))) == "Sum(Unit(), Lefschetz(1))"
+    tree = Power(Sum(LambdaH1(2), Unit()), 3)
+    assert copy.deepcopy(tree) == tree == pickle.loads(pickle.dumps(tree))
     assert repr(Power(Product(LambdaH1(2), SymPower(3)), 4)) == (
         "Power(Product(LambdaH1(2), SymPower(3)), 4)"
     )
