@@ -62,6 +62,9 @@ class MotiveExpr(tuple):
     def __getnewargs__(self):
         return tuple(self)
 
+    def __bool__(self):  # true like any node, not false as an empty tuple
+        return True
+
     def __eq__(self, other):
         return isinstance(other, MotiveExpr) and _shape(self) == _shape(other)
 
@@ -187,8 +190,7 @@ def _post_order(expr: MotiveExpr) -> list:
             raise TypeError(f"not a MotiveExpr node: {node!r}")
         order.append(node)
         stack.extend(node[: node._arity])  # the right child is popped first
-    order.reverse()
-    return order
+    return order[::-1]
 
 
 def _fold(expr: MotiveExpr, combine):
@@ -229,7 +231,8 @@ def _tokenize(source: str) -> list:
     A number is of kind NUMBER with its value; a name or operator is its own kind."""
     tokens = []
     shift = 1  # byte offset minus character index; only whitespace may be non-ASCII
-    for match in _TOKEN.finditer(source):
+    # Trailing whitespace is cut first: a search would retry the whole run at each of its positions.
+    for match in _TOKEN.finditer(source.rstrip()):
         number, name, other = match.groups()
         start = match.start(match.lastindex)
         space = source[match.start():start]
@@ -334,11 +337,11 @@ def evaluate(expr: MotiveExpr, genus: int) -> MotiveClass:
     offending subexpression.
     """
     _check_genus(genus)
-    values: list = []
-    for node in _post_order(expr):  # not _fold, so the failing node is at hand to name
-        cut = len(values) - node._arity
+
+    def value(node, *children):
         try:
-            values[cut:] = [_VALUES[type(node)](node, genus, *values[cut:])]
+            return _VALUES[type(node)](node, genus, *children)
         except NonTateTensor as exc:
             raise NonTateTensor(f"{exc.args[0]} in '{print_expr(node)}'") from exc
-    return values[0]
+
+    return _fold(expr, value)

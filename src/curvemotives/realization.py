@@ -180,9 +180,7 @@ def block_decomposition_report(genus: int) -> BlockReport:
         sym_hodge = hodge_polynomial(sym_power_curve(k, genus))
         for twist in twists:
             blocks.append(HodgeBlock(k, twist, sym_hodge * BiPolynomial.monomial(twist, twist)))
-    total = BiPolynomial.zero()
-    for block in blocks:
-        total = total + block.hodge
+    total = sum((block.hodge for block in blocks), BiPolynomial.zero())
     return BlockReport(genus=genus, blocks=tuple(blocks), total=total)
 
 
