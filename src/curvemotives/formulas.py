@@ -22,6 +22,7 @@ reduction of the coefficient to an explicit Lefschetz sum.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .core import (
     MotiveClass,
@@ -47,16 +48,21 @@ def _blocks(genus: int) -> list:
 
 
 def _bracket(m: int) -> dict:
-    """Exponent -> count of the reindexed sum, built termwise (empty for m < 0):
-    sum_{j<m} sum_{c<=j} (x^(j+c) + x^(3m-2j+c)) + sum_{c<=m} x^(m+c)."""
-    counts: dict = {}
+    """Exponent -> count of the reindexed sum (empty for m < 0):
+    sum_{j<m} sum_{c<=j} (x^(j+c) + x^(3m-2j+c)) + sum_{c<=m} x^(m+c).
+    Each sum over c is a run of exponents, [j, 2j], [3m-2j, 3m-j] or [m, 2m],
+    marked at both ends in a difference list; one prefix sum gives the counts."""
+    if m < 0:
+        return {}
+    marks = [0] * (3 * m + 2)
     for j in range(m):
-        for c in range(j + 1):
-            for e in (j + c, 3 * m - 2 * j + c):
-                counts[e] = counts.get(e, 0) + 1
-    for c in range(m + 1):
-        counts[m + c] = counts.get(m + c, 0) + 1
-    return counts
+        marks[j] += 1
+        marks[2 * j + 1] -= 1
+        marks[3 * m - 2 * j] += 1
+        marks[3 * m - j + 1] -= 1
+    marks[m] += 1
+    marks[2 * m + 1] -= 1
+    return {e: n for e, n in enumerate(accumulate(marks)) if n}
 
 
 @lru_cache(maxsize=None)

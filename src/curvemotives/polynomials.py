@@ -29,6 +29,32 @@ def _accumulate(items: Iterable, arity: int) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _join_signed(terms: Iterable, u: str, v: str) -> str:
+    """'1 - 2u + u^2*v^3' from ((p, q), c) pairs in print order; '0' if none."""
+    pieces = []
+    append = pieces.append
+    for (p, q), c in terms:
+        if p:
+            monomial = u if p == 1 else f"{u}^{p}"
+            if q:
+                monomial += f"*{v}" if q == 1 else f"*{v}^{q}"
+        elif q:
+            monomial = v if q == 1 else f"{v}^{q}"
+        else:
+            append(f"+ {c}" if c > 0 else f"- {-c}")
+            continue
+        if c == 1:
+            append(f"+ {monomial}")
+        elif c == -1:
+            append(f"- {monomial}")
+        else:
+            append(f"+ {c}{monomial}" if c > 0 else f"- {-c}{monomial}")
+    text = " ".join(pieces)  # every piece opens with its sign and a space
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 class IntPolynomial:
     """Sparse univariate polynomial with exact integer coefficients."""
 
@@ -62,7 +88,7 @@ class IntPolynomial:
     @classmethod
     def geometric(cls, top: int, step: int = 1, var: str = "t") -> "IntPolynomial":
         """1 + x^step + ... + x^top (empty, i.e. zero, when top < 0)."""
-        return cls({e: 1 for e in range(0, top + 1, step)}, var)
+        return cls._raw(dict.fromkeys(range(0, top + 1, step), 1), var)
 
     def items(self) -> tuple:
         return tuple(sorted(self._coeffs.items()))
@@ -153,21 +179,7 @@ class IntPolynomial:
         return sum(c * value**e for e, c in self._coeffs.items())
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces = []
-        for e, c in sorted(self._coeffs.items()):
-            magnitude = abs(c)
-            if e == 0:
-                body = str(magnitude)
-            else:
-                head = "" if magnitude == 1 else str(magnitude)
-                body = head + (self.var if e == 1 else f"{self.var}^{e}")
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(pieces)
+        return _join_signed((((e, 0), c) for e, c in sorted(self._coeffs.items())), self.var, "")
 
     def __repr__(self) -> str:
         return f"IntPolynomial({dict(sorted(self._coeffs.items()))}, var={self.var!r})"
@@ -253,26 +265,9 @@ class BiPolynomial:
         return IntPolynomial._raw({e: c for e, c in coeffs.items() if c}, var)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces = []
         # ascending total degree, u-power descending within a degree
-        for (p, q), c in sorted(self._coeffs.items(), key=lambda item: (sum(item[0]), item[0][1])):
-            vars_part = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in (("u", p), ("v", q))
-                if e > 0
-            )
-            magnitude = abs(c)
-            if not vars_part:
-                body = str(magnitude)
-            else:
-                body = ("" if magnitude == 1 else str(magnitude)) + vars_part
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(pieces)
+        order = sorted(self._coeffs.items(), key=lambda item: (item[0][0] + item[0][1], item[0][1]))
+        return _join_signed(order, "u", "v")
 
     def __repr__(self) -> str:
         return f"BiPolynomial({dict(sorted(self._coeffs.items()))})"

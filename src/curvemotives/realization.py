@@ -41,15 +41,14 @@ def hodge_polynomial(motive: MotiveClass) -> BiPolynomial:
     """Hodge realization; coefficients are the Hodge numbers h^{p,q}."""
     g = motive.genus
     coeffs: dict = {}
+    get = coeffs.get
     for b, row in motive.rows():
-        # (p, q, C(g,p) C(g,q)) for p + q = b, only the nonzero weights
-        weights = [
-            (p, b - p, comb(g, p) * comb(g, b - p)) for p in range(max(0, b - g), min(b, g) + 1)
-        ]
-        for c, mult in row:
-            for p, q, weight in weights:
+        for p in range(max(0, b - g), min(b, g) + 1):  # only the nonzero weights
+            q = b - p
+            weight = comb(g, p) * comb(g, q)
+            for c, mult in row:
                 pq = (p + c, q + c)
-                coeffs[pq] = coeffs.get(pq, 0) + mult * weight
+                coeffs[pq] = get(pq, 0) + mult * weight
     # positive multiplicities times positive weights: no coefficient is 0
     return BiPolynomial._raw(coeffs)
 
@@ -57,18 +56,18 @@ def hodge_polynomial(motive: MotiveClass) -> BiPolynomial:
 def key_identity_sides(m: int) -> tuple:
     """Both sides of the closing Lefschetz-power identity, as polynomials in x.
 
-    Left side, the proof chain's reindexed bracket built termwise with no
-    division:
+    Left side, the proof chain's reindexed bracket ``formulas._bracket(m)``,
+    built from runs of consecutive exponents with no division:
 
         sum_{j=0..m-1} sum_{c=0..j} (x^(j+c) + x^(3m-2j+c)) + sum_{c=0..m} x^(m+c)
 
     Right side as the product of two finite geometric sums,
     (1 + x + ... + x^m)(1 + x^2 + ... + x^2m), which is the divided form
-    of (1-x^(m+1))/(1-x) * (1-x^(2m+2))/(1-x^2).
+    of (1-x^(m+1))/(1-x) * (1-x^(2m+2))/(1-x^2), formed by the generic product.
     """
     if m < 1:
         raise ValueError(f"the identity is stated for m >= 1, got {m}")
-    lhs = IntPolynomial(_bracket(m), var="x")
+    lhs = IntPolynomial._raw(_bracket(m), "x")
     rhs = IntPolynomial.geometric(m, var="x") * IntPolynomial.geometric(2 * m, step=2, var="x")
     return lhs, rhs
 
@@ -173,15 +172,22 @@ def block_decomposition_report(genus: int) -> BlockReport:
     ``moduli_motive_conjectural`` is built from: twists k and 3g-3-2k for
     k = 0..g-2, then the middle block at k = g-1 with twist g-1.  The 2g-1
     block polynomials sum to the Hodge polynomial of the moduli space.
+    Each h(C^(k)) is realized once; twisting by L^t shifts its exponents by
+    (t, t).  The total is accumulated once, as the blocks are made.
     """
     _check_genus(genus)
     blocks = []
+    total: dict = {}
+    get = total.get
     for k, twists in _blocks(genus):
-        sym_hodge = hodge_polynomial(sym_power_curve(k, genus))
+        terms = hodge_polynomial(sym_power_curve(k, genus)).items()
         for twist in twists:
-            blocks.append(HodgeBlock(k, twist, sym_hodge * BiPolynomial.monomial(twist, twist)))
-    total = sum((block.hodge for block in blocks), BiPolynomial.zero())
-    return BlockReport(genus=genus, blocks=tuple(blocks), total=total)
+            hodge = {(p + twist, q + twist): c for (p, q), c in terms}
+            for pq, c in hodge.items():
+                total[pq] = get(pq, 0) + c
+            blocks.append(HodgeBlock(k, twist, BiPolynomial._raw(hodge)))
+    # every Hodge number is positive, so neither a block nor the total has a 0
+    return BlockReport(genus=genus, blocks=tuple(blocks), total=BiPolynomial._raw(total))
 
 
 def hodge_diamond_rows(poly: BiPolynomial) -> list:

@@ -194,6 +194,21 @@ def mutated_identity_lhs(m: int) -> IntPolynomial:
     return IntPolynomial(coeffs, var="x")
 
 
+# --- independent termwise oracle for the reindexed bracket --------------------
+
+def termwise_bracket(m: int) -> dict:
+    """Exponent -> count of sum_{j<m} sum_{c<=j} (x^(j+c) + x^(3m-2j+c))
+    + sum_{c<=m} x^(m+c), adding one term at a time (empty for m < 0)."""
+    counts: dict = {}
+    for j in range(m):
+        for c in range(j + 1):
+            for e in (j + c, 3 * m - 2 * j + c):
+                counts[e] = counts.get(e, 0) + 1
+    for c in range(m + 1):
+        counts[m + c] = counts.get(m + c, 0) + 1
+    return counts
+
+
 # --- independent enumeration oracle for symmetric powers ---------------------
 
 def brute_force_sym_terms(n: int, genus: int) -> dict:
@@ -271,3 +286,43 @@ def reference_tensor(a: MotiveClass, b: MotiveClass) -> MotiveClass:
             key = (b1 + b2, c1 + c2)
             terms[key] = terms.get(key, 0) + m1 * m2
     return MotiveClass(a.genus, terms)
+
+
+# --- reference polynomial printers --------------------------------------------
+
+def reference_int_str(poly: IntPolynomial) -> str:
+    """'1 - t^2 + 4t^3': ascending exponent, a unit coefficient left out
+    before a variable, the sign of the first term written without a space."""
+    pieces = []
+    for e, c in poly.items():
+        magnitude = abs(c)
+        if e == 0:
+            body = str(magnitude)
+        else:
+            head = "" if magnitude == 1 else str(magnitude)
+            body = head + (poly.var if e == 1 else f"{poly.var}^{e}")
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(pieces) or "0"
+
+
+def reference_bi_str(poly: BiPolynomial) -> str:
+    """'1 + 2u + 2v + u*v': ascending total degree and descending u-power
+    within a degree, otherwise as :func:`reference_int_str`."""
+    pieces = []
+    for (p, q), c in sorted(poly.items(), key=lambda item: (sum(item[0]), item[0][1])):
+        vars_part = "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in (("u", p), ("v", q)) if e > 0
+        )
+        magnitude = abs(c)
+        if not vars_part:
+            body = str(magnitude)
+        else:
+            body = ("" if magnitude == 1 else str(magnitude)) + vars_part
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(pieces) or "0"

@@ -16,7 +16,8 @@ from curvemotives import (
     unit,
     zero,
 )
-from helpers import brute_force_sym_terms, motives, mutated_conjectural
+from curvemotives.formulas import _bracket
+from helpers import brute_force_sym_terms, motives, mutated_conjectural, termwise_bracket
 
 # hand expansion at genus 2: 1 + L + h1*L + L^2 + L^3
 DELBANO_G2 = {(0, 0): 1, (0, 1): 1, (1, 1): 1, (0, 2): 1, (0, 3): 1}
@@ -146,3 +147,12 @@ def test_sym_power_total_dimension(genus):
             for _ in range(0, n - b + 1)
         )
         assert poincare_polynomial(sym_power_curve(n, genus))(1) == expected
+
+
+@pytest.mark.parametrize("m", range(-3, 151))
+def test_bracket_matches_termwise_sum(m):
+    counts = _bracket(m)
+    assert counts == termwise_bracket(m)
+    assert 0 not in counts.values()
+    # at x = 1 the right side (1 + x + ... + x^m)(1 + x^2 + ... + x^2m) is (m+1)^2
+    assert sum(counts.values()) == ((m + 1) ** 2 if m >= 0 else 0)

@@ -1,8 +1,16 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from curvemotives.polynomials import BiPolynomial, IntPolynomial
-from helpers import int_polynomials
+from helpers import int_polynomials, reference_bi_str, reference_int_str
+
+# signed coefficients: units are drawn often, since they print without a digit
+_signed = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
 
 
 def test_construction_drops_zeros_and_accumulates():
@@ -150,3 +158,42 @@ def test_bipolynomial_symmetry_and_diagonal():
     assert not BiPolynomial({(1, 0): 2}).is_symmetric()
     assert p.specialize_diagonal() == IntPolynomial({1: 4, 2: 1})
     assert p.max_exponent() == 1
+
+
+@given(
+    st.dictionaries(st.integers(min_value=0, max_value=12), _signed, max_size=8),
+    st.sampled_from(["t", "x"]),
+)
+def test_int_polynomial_str_matches_reference_printer(coeffs, var):
+    poly = IntPolynomial(coeffs, var=var)
+    assert str(poly) == reference_int_str(poly)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)),
+        _signed,
+        max_size=10,
+    )
+)
+def test_bipolynomial_str_matches_reference_printer(coeffs):
+    poly = BiPolynomial(coeffs)
+    assert str(poly) == reference_bi_str(poly)
+
+
+@pytest.mark.parametrize(
+    "poly, text",
+    [
+        (BiPolynomial({(0, 0): -1, (1, 0): -1, (0, 1): 3, (2, 3): -2}), "-1 - u + 3v - 2u^2*v^3"),
+        (BiPolynomial({(0, 2): -1, (1, 1): 1, (2, 0): -5}), "-5u^2 + u*v - v^2"),
+        (BiPolynomial({(0, 0): 7, (3, 0): -1}), "7 - u^3"),
+        (BiPolynomial({(0, 1): -1}), "-v"),
+        (IntPolynomial({0: -1, 1: -1, 2: 3, 5: -2}, var="x"), "-1 - x + 3x^2 - 2x^5"),
+        (IntPolynomial({0: -7}), "-7"),
+        (IntPolynomial({1: 1, 4: -1}), "t - t^4"),
+    ],
+)
+def test_signed_polynomial_str(poly, text):
+    assert str(poly) == text
+    reference = reference_bi_str if isinstance(poly, BiPolynomial) else reference_int_str
+    assert reference(poly) == text

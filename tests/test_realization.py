@@ -250,7 +250,7 @@ def test_block_count_and_total(genus):
     assert report.total == hodge_polynomial(moduli_motive_delbano(genus))
 
 
-@pytest.mark.parametrize("genus", range(2, 9))
+@pytest.mark.parametrize("genus", range(2, 31))
 def test_blocks_are_twisted_sym_power_realizations(genus):
     report = block_decomposition_report(genus)
     for block in report.blocks:
@@ -258,6 +258,7 @@ def test_blocks_are_twisted_sym_power_realizations(genus):
         assert block.hodge == hodge_polynomial(sym_power_curve(block.sym_power, genus)) * twist
         assert all(coeff != 0 for _, coeff in block.hodge.items())
     assert all(coeff != 0 for _, coeff in report.total.items())
+    assert report.total == hodge_polynomial(moduli_motive_conjectural(genus))
 
 
 @pytest.mark.parametrize("genus", range(2, 31))
