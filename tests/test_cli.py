@@ -470,3 +470,96 @@ def test_build_parser_returns_a_parser_main_does_not_share(capsys):
     code, out, err = run(capsys, *hodge)
     assert (code, _sha256(out), err) == (0, GOLDEN[hodge][1]["text"], "")
     assert run(capsys, "--extra", "x", *hodge)[0] == 2
+
+
+# SHA-256 of the --help stdout of the top level and of each subcommand, at 80
+# columns: how each subcommand is declared must not change what it prints.
+HELP = {
+    (): "07275e536ea890a4df06ed47240d233893378722c676a89173e7492c265a13a2",
+    ("eval",): "e803471c3796179df7ff565494d70e217c5b82cb6864202629d6a8bbcd43113f",
+    ("equal",): "2636a01cd8e2161476d24067991b9795646dc9d86028e1cee742a4d92b62f252",
+    ("verify-theorem",): "8f4683d2f31b62b737d92438d84900039cbc70918081a879512cfd8c34e9121b",
+    ("identity",): "ad6d5b720a3d4a4754f100be9c3ee51b81c913247c706f8fb0a3c840d56384ca",
+    ("poincare",): "e7ca1da83a43200fd2ab29b3c247f745eedcfaed00b0a049292fb3d2d2598b77",
+    ("hodge",): "2709b18d782ac52ca2973863b6474d55179d8205540b07dd4eb7ebdac5c3e24c",
+    ("decompose",): "8789a50532616a9b228d732aa6005f6b514484a957cc97b86b82341c32d48b49",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda command: " ".join(command) or "top")
+def test_help_stdout_digest(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *command, "--help")
+    assert (code, _sha256(out), err) == (0, HELP[command], "")
+
+
+# Exit code, last stderr line and stderr SHA-256 (usage included, at 80 columns)
+# of each numeric-option error.  The argvs where two checks fail pin their
+# order: the genus or m range first, then --jobs, and both before any
+# expression is parsed.
+VALIDATION_ERRORS = {
+    ("eval", "--genus", "1", "M"): (
+        "curvemotives eval: error: --genus must be >= 2, got 1",
+        "d2e0d1a17599c9452cc14d7d0c647c2576e2e8024c4dd29aa30cb072e4c06c43"),
+    ("poincare", "--genus", "1", "M"): (
+        "curvemotives poincare: error: --genus must be >= 2, got 1",
+        "8bd5d900248332e26d50a0f053c2ca0cefa6378baaec99666997f9704f2f939a"),
+    ("hodge", "--genus", "0", "M"): (
+        "curvemotives hodge: error: --genus must be >= 2, got 0",
+        "f97df576a13bf0c504cd587ea01205d8e69ad1eafe51906751248d68d50788a7"),
+    ("equal", "--genus", "1", "M", "M"): (
+        "curvemotives equal: error: genus range must satisfy 2 <= min <= max, got 1..1",
+        "1d8ac352c447e0ac86d43993f6f0bcd250c5b9ab1be444562c0b8c3cb4d2b736"),
+    ("equal", "--genus", "2", "--genus-min", "2", "M", "M"): (
+        "curvemotives equal: error: --genus cannot be combined with --genus-min/--genus-max",
+        "dd41e7ea0cbefb8e797f339977c81916e90a06dcfbd1afc1f9702d11f864e7e5"),
+    ("verify-theorem", "--genus", "2", "--genus-max", "3"): (
+        "curvemotives verify-theorem: error: --genus cannot be combined with "
+        "--genus-min/--genus-max",
+        "6c940285e299ef6b93a268525e6f70abb3fa5ebcee007ffb296ec36fea3fd762"),
+    ("decompose", "--genus-min", "5", "--genus-max", "3"): (
+        "curvemotives decompose: error: genus range must satisfy 2 <= min <= max, got 5..3",
+        "0cbaed28e832c8358c1bea97639ead32e8ece1bcca6c00d61411691400f579f0"),
+    ("verify-theorem", "--genus-min", "1"): (
+        "curvemotives verify-theorem: error: genus range must satisfy 2 <= min <= max, got 1..30",
+        "10d2274768b33ca268a6129bd40ae6ac0c58d533e2d39e4757c3a31f42ebe852"),
+    ("identity", "--m-min", "0"): (
+        "curvemotives identity: error: m range must satisfy 1 <= min <= max, got 0..100",
+        "366f7d31f747dd0322a29d0562739fdf486b2ffbc1af979e5bd1217028bdac48"),
+    ("identity", "--m-min", "5", "--m-max", "3"): (
+        "curvemotives identity: error: m range must satisfy 1 <= min <= max, got 5..3",
+        "7f5feb40775262124c439c8b0f0279e1d7c3b6729c15e4c551fa70694e04f154"),
+    ("equal", "--genus", "2", "--jobs", "0", "M", "M"): (
+        "curvemotives equal: error: --jobs must be >= 1, got 0",
+        "924d54dcbe1c34cad2c786abe25d4989e0b9e91bf69fa26812da38543487bb35"),
+    ("verify-theorem", "--jobs", "0"): (
+        "curvemotives verify-theorem: error: --jobs must be >= 1, got 0",
+        "186760d4a56996650fa491283d18b1e854d4692563a9566f389eb650ba490722"),
+    # two checks fail at once
+    ("decompose", "--genus-min", "5", "--genus-max", "3", "--jobs", "0"): (
+        "curvemotives decompose: error: genus range must satisfy 2 <= min <= max, got 5..3",
+        "0cbaed28e832c8358c1bea97639ead32e8ece1bcca6c00d61411691400f579f0"),
+    ("equal", "--genus", "2", "--genus-max", "3", "--jobs", "0", "M", "M"): (
+        "curvemotives equal: error: --genus cannot be combined with --genus-min/--genus-max",
+        "dd41e7ea0cbefb8e797f339977c81916e90a06dcfbd1afc1f9702d11f864e7e5"),
+    ("identity", "--m-min", "0", "--jobs", "0"): (
+        "curvemotives identity: error: m range must satisfy 1 <= min <= max, got 0..100",
+        "366f7d31f747dd0322a29d0562739fdf486b2ffbc1af979e5bd1217028bdac48"),
+    ("eval", "--genus", "1", "Sym(2) * (L + 1"): (
+        "curvemotives eval: error: --genus must be >= 2, got 1",
+        "d2e0d1a17599c9452cc14d7d0c647c2576e2e8024c4dd29aa30cb072e4c06c43"),
+    ("equal", "--genus", "1", "Sym(2) * (L + 1", "M"): (
+        "curvemotives equal: error: genus range must satisfy 2 <= min <= max, got 1..1",
+        "1d8ac352c447e0ac86d43993f6f0bcd250c5b9ab1be444562c0b8c3cb4d2b736"),
+    ("equal", "--genus", "2", "--jobs", "0", "Sym(2) * (L + 1", "M"): (
+        "curvemotives equal: error: --jobs must be >= 1, got 0",
+        "924d54dcbe1c34cad2c786abe25d4989e0b9e91bf69fa26812da38543487bb35"),
+}
+
+
+@pytest.mark.parametrize("argv", list(VALIDATION_ERRORS), ids=" ".join)
+def test_validation_error_exit_and_stderr(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    last_line, digest = VALIDATION_ERRORS[argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.splitlines()[-1], _sha256(err)) == (2, "", last_line, digest)
