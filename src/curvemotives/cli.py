@@ -8,6 +8,12 @@ Exit codes: 0 success / all checks pass, 1 a checked statement is false,
 Output is deterministic: every command computes its results serially in
 ascending parameter order, so identical inputs produce byte-identical
 output.  --jobs is accepted and validated but changes nothing.
+
+Each subcommand is declared once, as a row of ``_COMMANDS``: its name,
+help, handler and arguments; ``build_parser`` makes every subparser from
+these rows.  ``_check`` holds every numeric-option rule, and ``main`` runs
+it between parsing and the handler, so a handler reads checked values
+(``genus``, or the resolved ``genus_min..genus_max``) and validates nothing.
 """
 
 from __future__ import annotations
@@ -49,119 +55,6 @@ DEFAULT_M_MIN = 1
 DEFAULT_M_MAX = 100
 
 
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                        help="output format (default: text)")
-    parser.add_argument("--json", dest="format", action="store_const", const="json",
-                        help="shorthand for --format json")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="write the result to PATH instead of stdout")
-
-
-def _add_single_genus(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--genus", type=int, required=True, help="curve genus (>= 2)")
-
-
-def _add_genus_range(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--genus", type=int, default=None, help="single genus (>= 2)")
-    parser.add_argument("--genus-min", type=int, default=None,
-                        help=f"range start (default {DEFAULT_GENUS_MIN})")
-    parser.add_argument("--genus-max", type=int, default=None,
-                        help=f"range end (default {DEFAULT_GENUS_MAX})")
-
-
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted for compatibility (N >= 1); work runs serially")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="curvemotives",
-        description="Exact motive arithmetic for symmetric powers of a curve "
-                    "and the rank-2 fixed-determinant moduli space.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate an expression at one genus", allow_abbrev=False)
-    p.add_argument("expr", help="DSL expression, e.g. 'Sym(2) * (1 + L)'")
-    _add_single_genus(p)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_eval, parser=p)
-
-    p = sub.add_parser("equal", help="compare two expressions over a genus range", allow_abbrev=False)
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    _add_genus_range(p)
-    _add_output_options(p)
-    _add_jobs(p)
-    p.set_defaults(func=cmd_equal, parser=p)
-
-    p = sub.add_parser("verify-theorem",
-                       help="check the moduli decomposition, its proof chain and both oracles",
-                       allow_abbrev=False)
-    _add_genus_range(p)
-    _add_output_options(p)
-    _add_jobs(p)
-    p.set_defaults(func=cmd_verify_theorem, parser=p)
-
-    p = sub.add_parser("identity", help="check the Lefschetz-power identity over an m range",
-                       allow_abbrev=False)
-    p.add_argument("--m-min", type=int, default=DEFAULT_M_MIN)
-    p.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
-    _add_output_options(p)
-    _add_jobs(p)
-    p.set_defaults(func=cmd_identity, parser=p)
-
-    p = sub.add_parser("poincare", help="Poincare polynomial of an expression", allow_abbrev=False)
-    p.add_argument("expr")
-    _add_single_genus(p)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_poincare, parser=p)
-
-    p = sub.add_parser("hodge", help="Hodge polynomial (or diamond) of an expression",
-                       allow_abbrev=False)
-    p.add_argument("expr")
-    p.add_argument("--diamond", action="store_true", help="render the centered diamond layout")
-    _add_single_genus(p)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_hodge, parser=p)
-
-    p = sub.add_parser("decompose", help="per-block Hodge report of the moduli decomposition",
-                       allow_abbrev=False)
-    _add_genus_range(p)
-    _add_output_options(p)
-    _add_jobs(p)
-    p.set_defaults(func=cmd_decompose, parser=p)
-
-    return parser
-
-
-def _resolve_genus_range(args: argparse.Namespace) -> tuple:
-    if args.genus is not None:
-        if args.genus_min is not None or args.genus_max is not None:
-            args.parser.error("--genus cannot be combined with --genus-min/--genus-max")
-        lo = hi = args.genus
-    else:
-        lo = args.genus_min if args.genus_min is not None else DEFAULT_GENUS_MIN
-        hi = args.genus_max if args.genus_max is not None else DEFAULT_GENUS_MAX
-    if lo < 2 or hi < lo:
-        args.parser.error(f"genus range must satisfy 2 <= min <= max, got {lo}..{hi}")
-    return lo, hi
-
-
-def _check_single_genus(args: argparse.Namespace) -> int:
-    if args.genus < 2:
-        args.parser.error(f"--genus must be >= 2, got {args.genus}")
-    return args.genus
-
-
-def _check_jobs(args: argparse.Namespace) -> None:
-    if args.jobs < 1:
-        args.parser.error(f"--jobs must be >= 1, got {args.jobs}")
-
-
 def _render(args: argparse.Namespace, text, obj, header, rows) -> None:
     """Write a result to stdout, or to ``--out PATH``, in ``--format``.
 
@@ -189,8 +82,7 @@ def _render(args: argparse.Namespace, text, obj, header, rows) -> None:
 # --- eval -----------------------------------------------------------------
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    genus = _check_single_genus(args)
-    motive = dsl.evaluate(dsl.parse(args.expr), genus)
+    motive = dsl.evaluate(dsl.parse(args.expr), args.genus)
     _render(
         args,
         text=lambda: str(motive),
@@ -227,13 +119,11 @@ def _not_equal_text(results) -> str:
 
 
 def cmd_equal(args: argparse.Namespace) -> int:
-    lo, hi = _resolve_genus_range(args)
-    _check_jobs(args)
     left = dsl.parse(args.expr1)
     right = dsl.parse(args.expr2)
     results = [
         (genus, _diff_terms(dsl.evaluate(left, genus), dsl.evaluate(right, genus)))
-        for genus in range(lo, hi + 1)
+        for genus in range(args.genus_min, args.genus_max + 1)
     ]
     all_equal = all(not diff for _, diff in results)
     _render(
@@ -266,53 +156,33 @@ def cmd_equal(args: argparse.Namespace) -> int:
 
 # --- verify-theorem -------------------------------------------------------
 
-def _verify_genus(genus: int) -> tuple:
-    """Run the four check categories at one genus.
-
-    Returns (genus, {check: "pass" or "fail"}, {check: first failing index}),
-    the checks in the order main_equality, proof_chain, atiyah_bott, macdonald.
-    """
-    checks = {}
-    detail = {}
-
+def _verify_genus(genus: int) -> dict:
+    """The four checks at one genus, in the order main_equality, proof_chain,
+    atiyah_bott, macdonald, each mapped to "pass" or else to its first
+    failing index (None for the two checks that have no index)."""
     delbano = moduli_motive_delbano(genus)
-    checks["main_equality"] = delbano == moduli_motive_conjectural(genus)
-
-    bad_i = next((i for i in range(genus + 1) if not proof_chain_check(genus, i)), None)
-    checks["proof_chain"] = bad_i is None
-    if bad_i is not None:
-        detail["proof_chain"] = bad_i
-
-    checks["atiyah_bott"] = atiyah_bott_oracle(genus) == poincare_polynomial(delbano)
-
     series = macdonald_series(genus, 2 * genus)
-    bad_n = next(
-        (
-            n
-            for n in range(2 * genus + 1)
-            if series[n] != poincare_polynomial(sym_power_curve(n, genus))
+    checks = {
+        "main_equality": ((None,), lambda _: delbano == moduli_motive_conjectural(genus)),
+        "proof_chain": (range(genus + 1), lambda i: proof_chain_check(genus, i)),
+        "atiyah_bott": (
+            (None,), lambda _: atiyah_bott_oracle(genus) == poincare_polynomial(delbano)
         ),
-        None,
-    )
-    checks["macdonald"] = bad_n is None
-    if bad_n is not None:
-        detail["macdonald"] = bad_n
-
-    return genus, {name: "pass" if ok else "fail" for name, ok in checks.items()}, detail
-
-
-def _first_failure(results) -> dict | None:
-    for genus, checks, detail in results:
-        for name, verdict in checks.items():
-            if verdict == "fail":
-                return {"genus": genus, "check": name, "index": detail.get(name)}
-    return None
+        "macdonald": (
+            range(2 * genus + 1),
+            lambda n: series[n] == poincare_polynomial(sym_power_curve(n, genus)),
+        ),
+    }
+    return {
+        name: next((i for i in indices if not holds(i)), "pass")
+        for name, (indices, holds) in checks.items()
+    }
 
 
 def _verify_text(results, failure, lo: int, hi: int) -> str:
     lines = [
         f"g={genus}: " + " ".join(f"{name}={verdict}" for name, verdict in checks.items())
-        for genus, checks, _ in results
+        for genus, checks in results
     ]
     if failure is None:
         lines.append(f"all checks passed for genus {lo}..{hi}")
@@ -323,27 +193,34 @@ def _verify_text(results, failure, lo: int, hi: int) -> str:
 
 
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
-    lo, hi = _resolve_genus_range(args)
-    _check_jobs(args)
-    results = [_verify_genus(genus) for genus in range(lo, hi + 1)]
-    failure = _first_failure(results)
+    lo, hi = args.genus_min, args.genus_max
+    outcomes = [(genus, _verify_genus(genus)) for genus in range(lo, hi + 1)]
+    failure = next(
+        (
+            {"genus": genus, "check": name, "index": index}
+            for genus, checks in outcomes
+            for name, index in checks.items()
+            if index != "pass"
+        ),
+        None,
+    )
+    results = [
+        (genus, {name: "pass" if index == "pass" else "fail" for name, index in checks.items()})
+        for genus, checks in outcomes
+    ]
     _render(
         args,
         text=lambda: _verify_text(results, failure, lo, hi),
         obj=lambda: {
             "genus_min": lo,
             "genus_max": hi,
-            "results": [
-                {"genus": genus, "checks": checks} for genus, checks, _ in results
-            ],
+            "results": [{"genus": genus, "checks": checks} for genus, checks in results],
             "all_pass": failure is None,
             "first_failure": failure,
         },
         header=("genus", "check", "result"),
         rows=lambda: (
-            (genus, name, verdict)
-            for genus, checks, _ in results
-            for name, verdict in checks.items()
+            (genus, name, verdict) for genus, checks in results for name, verdict in checks.items()
         ),
     )
     return EXIT_OK if failure is None else EXIT_FALSE
@@ -364,17 +241,8 @@ def _identity_text(results, first_bad, m_min: int, m_max: int) -> str:
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
-    if args.m_min < 1 or args.m_max < args.m_min:
-        args.parser.error(
-            f"m range must satisfy 1 <= min <= max, got {args.m_min}..{args.m_max}"
-        )
-    _check_jobs(args)
-
-    def check(m: int):
-        lhs, rhs = key_identity_sides(m)
-        return m, lhs, rhs, lhs == rhs
-
-    results = [check(m) for m in range(args.m_min, args.m_max + 1)]
+    sides = [(m, *key_identity_sides(m)) for m in range(args.m_min, args.m_max + 1)]
+    results = [(m, lhs, rhs, lhs == rhs) for m, lhs, rhs in sides]
     first_bad = next((m for m, _, _, ok in results if not ok), None)
     _render(
         args,
@@ -397,8 +265,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
 # --- poincare / hodge -----------------------------------------------------
 
 def cmd_poincare(args: argparse.Namespace) -> int:
-    genus = _check_single_genus(args)
-    poly = poincare_polynomial(dsl.evaluate(dsl.parse(args.expr), genus))
+    poly = poincare_polynomial(dsl.evaluate(dsl.parse(args.expr), args.genus))
     _render(
         args,
         text=lambda: str(poly),
@@ -423,8 +290,7 @@ def _hodge_obj(poly, diamond: bool) -> dict:
 
 
 def cmd_hodge(args: argparse.Namespace) -> int:
-    genus = _check_single_genus(args)
-    poly = hodge_polynomial(dsl.evaluate(dsl.parse(args.expr), genus))
+    poly = hodge_polynomial(dsl.evaluate(dsl.parse(args.expr), args.genus))
     _render(
         args,
         text=lambda: render_hodge_diamond(poly) if args.diamond else str(poly),
@@ -452,8 +318,7 @@ def _block_table(report) -> str:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    lo, hi = _resolve_genus_range(args)
-    _check_jobs(args)
+    lo, hi = args.genus_min, args.genus_max
     reports = [block_decomposition_report(genus) for genus in range(lo, hi + 1)]
     _render(
         args,
@@ -470,6 +335,90 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# --- declaration and validation ------------------------------------------
+
+def _arg(*flags, **options) -> tuple:
+    """One argument, stated as its ``add_argument`` call would take it."""
+    return flags, options
+
+
+_GENUS = (_arg("--genus", type=int, required=True, help="curve genus (>= 2)"),)
+_GENUS_RANGE = (
+    _arg("--genus", type=int, default=None, help="single genus (>= 2)"),
+    _arg("--genus-min", type=int, default=None, help=f"range start (default {DEFAULT_GENUS_MIN})"),
+    _arg("--genus-max", type=int, default=None, help=f"range end (default {DEFAULT_GENUS_MAX})"),
+)
+_OUTPUT = (
+    _arg("--format", choices=("text", "json", "csv"), default="text",
+         help="output format (default: text)"),
+    _arg("--json", dest="format", action="store_const", const="json",
+         help="shorthand for --format json"),
+    _arg("--out", metavar="PATH", default=None, help="write the result to PATH instead of stdout"),
+)
+_JOBS = (_arg("--jobs", type=int, default=1, metavar="N",
+              help="accepted for compatibility (N >= 1); work runs serially"),)
+
+# (name, help, handler, arguments) of each subcommand, in the order --help lists them
+_COMMANDS = (
+    ("eval", "evaluate an expression at one genus", cmd_eval,
+     (_arg("expr", help="DSL expression, e.g. 'Sym(2) * (1 + L)'"), *_GENUS, *_OUTPUT)),
+    ("equal", "compare two expressions over a genus range", cmd_equal,
+     (_arg("expr1"), _arg("expr2"), *_GENUS_RANGE, *_OUTPUT, *_JOBS)),
+    ("verify-theorem", "check the moduli decomposition, its proof chain and both oracles",
+     cmd_verify_theorem, (*_GENUS_RANGE, *_OUTPUT, *_JOBS)),
+    ("identity", "check the Lefschetz-power identity over an m range", cmd_identity,
+     (_arg("--m-min", type=int, default=DEFAULT_M_MIN),
+      _arg("--m-max", type=int, default=DEFAULT_M_MAX), *_OUTPUT, *_JOBS)),
+    ("poincare", "Poincare polynomial of an expression", cmd_poincare,
+     (_arg("expr"), *_GENUS, *_OUTPUT)),
+    ("hodge", "Hodge polynomial (or diamond) of an expression", cmd_hodge,
+     (_arg("expr"), _arg("--diamond", action="store_true", help="render the centered diamond layout"),
+      *_GENUS, *_OUTPUT)),
+    ("decompose", "per-block Hodge report of the moduli decomposition", cmd_decompose,
+     (*_GENUS_RANGE, *_OUTPUT, *_JOBS)),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="curvemotives",
+        description="Exact motive arithmetic for symmetric powers of a curve "
+                    "and the rank-2 fixed-determinant moduli space.",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler, parser=p)
+    return parser
+
+
+def _check(args: argparse.Namespace) -> None:
+    """Apply every numeric-option rule of the subcommand, in this order: the
+    genus or genus range, the m range, then --jobs.  A genus range is
+    resolved in place, so a handler reads ``genus_min..genus_max``."""
+    if "genus_min" in args:
+        if args.genus is not None:
+            if args.genus_min is not None or args.genus_max is not None:
+                args.parser.error("--genus cannot be combined with --genus-min/--genus-max")
+            args.genus_min = args.genus_max = args.genus
+        lo = DEFAULT_GENUS_MIN if args.genus_min is None else args.genus_min
+        hi = DEFAULT_GENUS_MAX if args.genus_max is None else args.genus_max
+        if lo < 2 or hi < lo:
+            args.parser.error(f"genus range must satisfy 2 <= min <= max, got {lo}..{hi}")
+        args.genus_min, args.genus_max = lo, hi
+    elif "genus" in args and args.genus < 2:
+        args.parser.error(f"--genus must be >= 2, got {args.genus}")
+    if "m_min" in args and (args.m_min < 1 or args.m_max < args.m_min):
+        args.parser.error(
+            f"m range must satisfy 1 <= min <= max, got {args.m_min}..{args.m_max}"
+        )
+    if "jobs" in args and args.jobs < 1:
+        args.parser.error(f"--jobs must be >= 1, got {args.jobs}")
+
+
 # --- entry ----------------------------------------------------------------
 
 @functools.cache
@@ -484,8 +433,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        _check(args)  # before the handler, so a bad number is reported before any parse error
         return args.func(args)
-    except SystemExit as exc:  # argparse, also parser.error inside a handler
+    except SystemExit as exc:  # argparse, also parser.error in _check
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     except (dsl.ParseError, OSError) as exc:  # ParseError is a ValueError: caught first
