@@ -9,11 +9,10 @@ Output is deterministic: every command computes its results serially in
 ascending parameter order, so identical inputs produce byte-identical
 output.  --jobs is accepted and validated but changes nothing.
 
-Each subcommand is declared once, as a row of ``_COMMANDS``: its name,
-help, handler and arguments; ``build_parser`` makes every subparser from
-these rows.  ``_check`` holds every numeric-option rule, and ``main`` runs
-it between parsing and the handler, so a handler reads checked values
-(``genus``, or the resolved ``genus_min..genus_max``) and validates nothing.
+Each subcommand is one row of ``_COMMANDS`` (name, help, handler, arguments),
+from which ``build_parser`` makes its subparser.  ``main`` runs ``_check``, the
+one holder of the numeric-option rules, before the handler, so handlers read
+checked values and validate nothing.
 """
 
 from __future__ import annotations
@@ -162,20 +161,17 @@ def _verify_genus(genus: int) -> dict:
     failing index (None for the two checks that have no index)."""
     delbano = moduli_motive_delbano(genus)
     series = macdonald_series(genus, 2 * genus)
-    checks = {
-        "main_equality": ((None,), lambda _: delbano == moduli_motive_conjectural(genus)),
-        "proof_chain": (range(genus + 1), lambda i: proof_chain_check(genus, i)),
-        "atiyah_bott": (
-            (None,), lambda _: atiyah_bott_oracle(genus) == poincare_polynomial(delbano)
-        ),
-        "macdonald": (
-            range(2 * genus + 1),
-            lambda n: series[n] == poincare_polynomial(sym_power_curve(n, genus)),
-        ),
-    }
     return {
-        name: next((i for i in indices if not holds(i)), "pass")
-        for name, (indices, holds) in checks.items()
+        "main_equality": "pass" if delbano == moduli_motive_conjectural(genus) else None,
+        "proof_chain": next(
+            (i for i in range(genus + 1) if not proof_chain_check(genus, i)), "pass"
+        ),
+        "atiyah_bott": "pass" if atiyah_bott_oracle(genus) == poincare_polynomial(delbano) else None,
+        "macdonald": next(
+            (n for n in range(2 * genus + 1)
+             if series[n] != poincare_polynomial(sym_power_curve(n, genus))),
+            "pass",
+        ),
     }
 
 
@@ -195,15 +191,13 @@ def _verify_text(results, failure, lo: int, hi: int) -> str:
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
     lo, hi = args.genus_min, args.genus_max
     outcomes = [(genus, _verify_genus(genus)) for genus in range(lo, hi + 1)]
-    failure = next(
-        (
-            {"genus": genus, "check": name, "index": index}
-            for genus, checks in outcomes
-            for name, index in checks.items()
-            if index != "pass"
-        ),
-        None,
-    )
+    failures = [
+        {"genus": genus, "check": name, "index": index}
+        for genus, checks in outcomes
+        for name, index in checks.items()
+        if index != "pass"
+    ]
+    failure = failures[0] if failures else None
     results = [
         (genus, {name: "pass" if index == "pass" else "fail" for name, index in checks.items()})
         for genus, checks in outcomes
@@ -399,24 +393,23 @@ def _check(args: argparse.Namespace) -> None:
     """Apply every numeric-option rule of the subcommand, in this order: the
     genus or genus range, the m range, then --jobs.  A genus range is
     resolved in place, so a handler reads ``genus_min..genus_max``."""
+    error = args.parser.error
     if "genus_min" in args:
         if args.genus is not None:
             if args.genus_min is not None or args.genus_max is not None:
-                args.parser.error("--genus cannot be combined with --genus-min/--genus-max")
+                error("--genus cannot be combined with --genus-min/--genus-max")
             args.genus_min = args.genus_max = args.genus
         lo = DEFAULT_GENUS_MIN if args.genus_min is None else args.genus_min
         hi = DEFAULT_GENUS_MAX if args.genus_max is None else args.genus_max
         if lo < 2 or hi < lo:
-            args.parser.error(f"genus range must satisfy 2 <= min <= max, got {lo}..{hi}")
+            error(f"genus range must satisfy 2 <= min <= max, got {lo}..{hi}")
         args.genus_min, args.genus_max = lo, hi
     elif "genus" in args and args.genus < 2:
-        args.parser.error(f"--genus must be >= 2, got {args.genus}")
+        error(f"--genus must be >= 2, got {args.genus}")
     if "m_min" in args and (args.m_min < 1 or args.m_max < args.m_min):
-        args.parser.error(
-            f"m range must satisfy 1 <= min <= max, got {args.m_min}..{args.m_max}"
-        )
+        error(f"m range must satisfy 1 <= min <= max, got {args.m_min}..{args.m_max}")
     if "jobs" in args and args.jobs < 1:
-        args.parser.error(f"--jobs must be >= 1, got {args.jobs}")
+        error(f"--jobs must be >= 1, got {args.jobs}")
 
 
 # --- entry ----------------------------------------------------------------
