@@ -75,7 +75,7 @@ class MotiveExpr(tuple):
         return hash(tuple(_shape(self)))
 
     def __repr__(self):
-        return _fold(self, _node_repr)
+        return _join(self, _repr_parts)
 
 
 class Unit(MotiveExpr):
@@ -136,23 +136,20 @@ class Power(MotiveExpr):
         return tuple.__new__(cls, (base, _nat(exponent, "tensor power")))
 
 
-def _paren(text: str, node: MotiveExpr, rank: int) -> str:
-    """``text`` of ``node``, in parentheses if it binds less tightly than ``rank``."""
-    return text if node._rank >= rank else f"({text})"
-
-
-# The operators associate to the left, so a right operand of equal rank is parenthesized.
+# Each node's printed parts: strings, and (child, rank) for a child put in parentheses
+# if it binds less tightly than rank.  The operators associate to the left, so a
+# right operand of equal rank is parenthesized.
 _TEXTS = {
-    Unit: lambda node: "1",
-    Lefschetz: lambda node: "L" if node[0] == 1 else f"L^{node[0]}",
-    LambdaH1: lambda node: "h1" if node[0] == 1 else f"lam({node[0]})",
-    Curve: lambda node: "C",
-    SymPower: lambda node: f"Sym({node[0]})",
-    ModuliDelBano: lambda node: "M",
-    ModuliConjectural: lambda node: "Mconj",
-    Sum: lambda node, left, right: f"{left} + {_paren(right, node[1], 2)}",
-    Product: lambda node, left, right: f"{_paren(left, node[0], 2)} * {_paren(right, node[1], 3)}",
-    Power: lambda node, base: f"{_paren(base, node[0], 4)}^{node[1]}",
+    Unit: lambda node: ["1"],
+    Lefschetz: lambda node: ["L" if node[0] == 1 else f"L^{node[0]}"],
+    LambdaH1: lambda node: ["h1" if node[0] == 1 else f"lam({node[0]})"],
+    Curve: lambda node: ["C"],
+    SymPower: lambda node: [f"Sym({node[0]})"],
+    ModuliDelBano: lambda node: ["M"],
+    ModuliConjectural: lambda node: ["Mconj"],
+    Sum: lambda node: [(node[0], 1), " + ", (node[1], 2)],
+    Product: lambda node: [(node[0], 2), " * ", (node[1], 3)],
+    Power: lambda node: [(node[0], 4), f"^{node[1]}"],
 }
 
 
@@ -207,9 +204,32 @@ def _shape(expr: MotiveExpr) -> list:
     return [(type(node), node[node._arity:]) for node in _post_order(expr)]
 
 
-def _node_repr(node: MotiveExpr, *children: str) -> str:
-    fields = [*children, *map(repr, node[node._arity:])]
-    return f"{type(node).__name__}({', '.join(fields)})"
+def _join(expr: MotiveExpr, parts) -> str:
+    """The text of ``expr``, ``parts(node)`` giving each node's strings and (child,
+    rank) pairs: emitted from an explicit stack and joined once, in linear time."""
+    pieces = []
+    stack = [(expr, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+        elif isinstance(item[0], MotiveExpr):
+            node, rank = item
+            own = parts(node)
+            stack.extend(reversed(own if node._rank >= rank else ["(", *own, ")"]))
+        else:
+            raise TypeError(f"not a MotiveExpr node: {item[0]!r}")
+    return "".join(pieces)
+
+
+def _repr_parts(node: MotiveExpr) -> list:
+    """``Type(fields)``: the child nodes first, each other field by its repr."""
+    parts = [f"{type(node).__name__}("]
+    for i, field in enumerate(node):
+        if i:
+            parts.append(", ")
+        parts.append((field, 0) if i < node._arity else repr(field))
+    return parts + [")"]
 
 
 _ATOM_DESCRIPTION = "an atom ('1', 'L', 'h1', 'lam(k)', 'C', 'Sym(n)', 'M', 'Mconj' or '(')"
@@ -326,7 +346,7 @@ def parse(source: str) -> MotiveExpr:
 def print_expr(expr: MotiveExpr) -> str:
     """Canonical text with minimal parentheses; reparses to the same tree
     for every tree the grammar denotes."""
-    return _fold(expr, lambda node, *texts: _TEXTS[type(node)](node, *texts))
+    return _join(expr, lambda node: _TEXTS[type(node)](node))
 
 
 def evaluate(expr: MotiveExpr, genus: int) -> MotiveClass:

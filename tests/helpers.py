@@ -14,6 +14,7 @@ from curvemotives.dsl import (
     Lefschetz,
     ModuliConjectural,
     ModuliDelBano,
+    MotiveExpr,
     Power,
     Product,
     Sum,
@@ -89,6 +90,18 @@ int_polynomials = st.builds(
         st.integers(min_value=-20, max_value=20),
         max_size=8,
     ),
+)
+
+
+# every node type, with Lefschetz powers other than 1 (printed L^p, which binds as a power)
+printable_expressions = st.recursive(
+    st.one_of(_ATOMS, st.builds(Lefschetz, st.integers(min_value=0, max_value=3))),
+    lambda children: st.one_of(
+        st.builds(Sum, children, children),
+        st.builds(Product, children, children),
+        st.builds(Power, children, st.integers(min_value=0, max_value=5)),
+    ),
+    max_leaves=25,
 )
 
 
@@ -253,6 +266,43 @@ def _convolve_truncated(a: list, b: list, order: int) -> list:
     return out
 
 
+# --- independent Hodge-level oracles (BiPolynomial and math.comb only) ---------
+
+def _binomial_power(genus: int, du: int, dv: int) -> BiPolynomial:
+    """(1 + u^du v^dv)^g by the binomial theorem."""
+    return BiPolynomial({(du * a, dv * a): comb(genus, a) for a in range(genus + 1)})
+
+
+# (1 - uv)(1 - u^2 v^2), the denominator of the Hodge form of Atiyah-Bott
+ATIYAH_BOTT_HODGE_DENOMINATOR = BiPolynomial({(0, 0): 1, (1, 1): -1}) * BiPolynomial(
+    {(0, 0): 1, (2, 2): -1}
+)
+
+
+def atiyah_bott_hodge_numerator(genus: int) -> BiPolynomial:
+    """(1+u^2 v)^g (1+u v^2)^g - (uv)^g (1+u)^g (1+v)^g: the Hodge polynomial of
+    the moduli space times (1 - uv)(1 - u^2 v^2) (del Bano; Earl-Kirwan)."""
+    first = _binomial_power(genus, 2, 1) * _binomial_power(genus, 1, 2)
+    second = BiPolynomial.monomial(genus, genus, -1) * _binomial_power(genus, 1, 0)
+    return first + second * _binomial_power(genus, 0, 1)
+
+
+def hodge_macdonald_series(genus: int, n_max: int) -> list:
+    """f_0..f_n_max, the coefficients of x^n in (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)):
+    f_n = (1+uv) f_{n-1} - uv f_{n-2} + sum_{p+q=n} C(g,p) C(g,q) u^p v^q."""
+    one_plus_uv = BiPolynomial({(0, 0): 1, (1, 1): 1})
+    minus_uv = BiPolynomial.monomial(1, 1, -1)
+    series: list = []
+    for n in range(n_max + 1):
+        f = BiPolynomial({(p, n - p): comb(genus, p) * comb(genus, n - p) for p in range(n + 1)})
+        if n >= 1:
+            f = f + one_plus_uv * series[n - 1]
+        if n >= 2:
+            f = f + minus_uv * series[n - 2]
+        series.append(f)
+    return series
+
+
 # --- plain reference realizations, straight from the README formulas ----------
 
 def reference_poincare(motive: MotiveClass) -> IntPolynomial:
@@ -326,3 +376,41 @@ def reference_bi_str(poly: BiPolynomial) -> str:
         else:
             pieces.append(f"{'+' if c > 0 else '-'} {body}")
     return " ".join(pieces) or "0"
+
+
+# --- recursive reference printers for expression trees -------------------------
+
+def _reference_rank(expr) -> int:
+    """1 sum, 2 product, 3 power (L^p with p != 1 included), 4 atom."""
+    if isinstance(expr, Lefschetz):
+        return 4 if expr[0] == 1 else 3
+    return {Sum: 1, Product: 2, Power: 3}.get(type(expr), 4)
+
+
+def reference_print(expr) -> str:
+    """Canonical text by recursion: an operand is parenthesized when it binds
+    less tightly than its place needs; the operators associate to the left."""
+
+    def operand(node, rank: int) -> str:
+        text = reference_print(node)
+        return text if _reference_rank(node) >= rank else f"({text})"
+
+    if isinstance(expr, Sum):
+        return f"{reference_print(expr[0])} + {operand(expr[1], 2)}"
+    if isinstance(expr, Product):
+        return f"{operand(expr[0], 2)} * {operand(expr[1], 3)}"
+    if isinstance(expr, Power):
+        return f"{operand(expr[0], 4)}^{expr[1]}"
+    if isinstance(expr, Lefschetz):
+        return "L" if expr[0] == 1 else f"L^{expr[0]}"
+    if isinstance(expr, LambdaH1):
+        return "h1" if expr[0] == 1 else f"lam({expr[0]})"
+    if isinstance(expr, SymPower):
+        return f"Sym({expr[0]})"
+    return {Unit: "1", Curve: "C", ModuliDelBano: "M", ModuliConjectural: "Mconj"}[type(expr)]
+
+
+def reference_repr(expr) -> str:
+    """``Type(field, ...)`` by recursion, a child node by its own reference repr."""
+    fields = [reference_repr(f) if isinstance(f, MotiveExpr) else repr(f) for f in expr]
+    return f"{type(expr).__name__}({', '.join(fields)})"

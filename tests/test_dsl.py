@@ -33,7 +33,7 @@ from curvemotives.dsl import (
     SymPower,
     Unit,
 )
-from helpers import MALFORMED, expressions
+from helpers import MALFORMED, expressions, printable_expressions, reference_print, reference_repr
 
 
 def test_parse_sum_and_power():
@@ -128,6 +128,13 @@ def test_print_examples():
 
 
 @settings(max_examples=300)
+@given(printable_expressions)
+def test_print_and_repr_match_recursive_references(expr):
+    assert print_expr(expr) == reference_print(expr)
+    assert repr(expr) == reference_repr(expr)
+
+
+@settings(max_examples=300)
 @given(expressions)
 def test_round_trip(expr):
     assert parse(print_expr(expr)) == expr
@@ -180,6 +187,23 @@ def test_deep_trees_parse_print_and_evaluate():
     assert parse(text) == nested and hash(parse(text)) == hash(nested)
     assert repr(parse("1 + (" * 3000 + "L" + ")" * 3000)).startswith("Sum(Unit(), Sum(Unit(), ")
     assert parse("(" * 60000 + "M" + ")" * 60000) == ModuliDelBano()
+
+
+def test_print_and_repr_of_a_long_chain_take_linear_time():
+    # Building each node's text from its children's strings took quadratic time:
+    # repr of this chain ran for about 25 s.
+    chain = LambdaH1(1)
+    for _ in range(99999):
+        chain = Sum(chain, LambdaH1(1))
+    start = time.process_time()
+    text = print_expr(chain)
+    printed = time.process_time() - start
+    start = time.process_time()
+    shown = repr(chain)
+    shown_s = time.process_time() - start
+    assert printed < 1.0 and shown_s < 1.0, (printed, shown_s)
+    assert text == " + ".join(["h1"] * 100000) and parse(text) == chain
+    assert shown == "Sum(" * 99999 + "LambdaH1(1)" + ", LambdaH1(1))" * 99999
 
 
 def test_hash_of_a_very_deep_tree():
