@@ -65,7 +65,7 @@ def _bracket(m: int) -> dict:
     return {e: n for e, n in enumerate(accumulate(marks)) if n}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # holds all 2g + 1 powers of one genus, g <= 63, which the checks reuse
 def sym_power_curve(n: int, genus: int) -> MotiveClass:
     """Motive of the n-th symmetric power of the curve.
 

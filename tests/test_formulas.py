@@ -46,6 +46,17 @@ def test_sym_power_matches_triple_enumeration(genus):
         assert all(type(key) is BasisKey for key, _ in motive.items())
 
 
+def test_sym_power_cache_is_bounded():
+    # unbounded, it kept every Sym^n of every genus seen: about 200 MiB over genus 31..60
+    sym_power_curve.cache_clear()
+    for genus in range(2, 12):
+        for n in range(2 * genus + 1):
+            sym_power_curve(n, genus)
+    info = sym_power_curve.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < info.misses
+    assert sym_power_curve(2 * 11, 11) is sym_power_curve(2 * 11, 11)  # the last genus stays
+
+
 def test_sym_power_negative_rejected():
     with pytest.raises(ValueError):
         sym_power_curve(-1, 2)
