@@ -23,7 +23,15 @@ from curvemotives import (
 from curvemotives.cli import main
 from curvemotives.dsl import LambdaH1, Lefschetz, ParseError, Power, Product, Sum, Unit
 from curvemotives.polynomials import BiPolynomial, IntPolynomial
-from helpers import MALFORMED, mutated_conjectural, mutated_identity_lhs, random_expression
+from helpers import (
+    ATIYAH_BOTT_HODGE_DENOMINATOR,
+    MALFORMED,
+    atiyah_bott_hodge_numerator,
+    hodge_macdonald_series,
+    mutated_conjectural,
+    mutated_identity_lhs,
+    random_expression,
+)
 
 GENUS_RANGE = range(2, 31)
 WIDE_GENUS_RANGE = range(2, 61)
@@ -144,3 +152,24 @@ def test_criterion_10_cli_contract(capsys):
         ok = ok and code == 0
     ok = ok and len(outputs) == 1
     _report("criterion 10: exit codes 0/1/2/3 and byte-identical JSON across runs and --jobs", ok)
+
+
+def test_criterion_11_hodge_atiyah_bott_oracle():
+    ok = all(
+        hodge_polynomial(moduli(g)) * ATIYAH_BOTT_HODGE_DENOMINATOR
+        == atiyah_bott_hodge_numerator(g)
+        for g in GENUS_RANGE
+        for moduli in (moduli_motive_delbano, moduli_motive_conjectural)
+    )
+    _report("criterion 11: H(M)(1-uv)(1-u^2v^2) matches the Hodge Atiyah-Bott form, genus 2..30", ok)
+
+
+def test_criterion_12_hodge_macdonald_oracle():
+    ok = all(
+        series[n] == hodge_polynomial(sym_power_curve(n, g))
+        for g in GENUS_RANGE
+        for series in [hodge_macdonald_series(g, 2 * g)]
+        for n in range(0, 2 * g + 1)
+    )
+    _report("criterion 12: Hodge Macdonald series matches realized symmetric powers, n = 0..2g, "
+            "genus 2..30", ok)
