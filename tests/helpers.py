@@ -195,6 +195,36 @@ def mutated_conjectural(genus: int) -> MotiveClass:
     return direct_sum(total, last)
 
 
+ALTERATIONS = ("gain", "lose", "mult")
+
+
+def altered_rows(motive: MotiveClass, kind: str) -> list:
+    """The lambda indices b at which ``altered_motive`` can apply ``kind``:
+    every row, and for ``gain`` also the first index above them (if <= 2g)."""
+    rows = [b for b, _ in motive.rows()]
+    if kind == "gain":
+        above = rows[-1] + 1 if rows else 0
+        rows += [above] if above <= 2 * motive.genus else []
+    return rows
+
+
+def altered_motive(motive: MotiveClass, b: int, kind: str) -> MotiveClass:
+    """``motive`` with its row at lambda index b changed by one term.
+    ``gain`` adds L^(c+1) above the row's highest power c (L^0 to an empty
+    row), which for Sym^n is the term that Sym^(n+1) adds to that row;
+    ``lose`` drops the highest power, so a one-term row vanishes;
+    ``mult`` adds 1 to the multiplicity of the lowest power."""
+    terms = dict(motive.items())
+    powers = sorted(c for i, c in terms if i == b)
+    if kind == "gain":
+        terms[(b, powers[-1] + 1 if powers else 0)] = 1
+    elif kind == "lose":
+        del terms[(b, powers[-1])]
+    else:
+        terms[(b, powers[0])] += 1
+    return MotiveClass(motive.genus, terms)
+
+
 def mutated_identity_lhs(m: int) -> IntPolynomial:
     """Left side of the key identity with x^(3m-2j+c) bumped by one."""
     coeffs: dict = {}

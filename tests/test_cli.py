@@ -11,10 +11,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from curvemotives import cli
+from curvemotives import cli, formulas
 from curvemotives.cli import build_parser, main
 from curvemotives.dsl import print_expr
-from helpers import expressions
+from helpers import ALTERATIONS, altered_motive, altered_rows, expressions
 
 EVAL_SYM0 = '{"genus":2,"terms":[{"lambda":0,"lefschetz":0,"mult":"1"}]}\n'
 
@@ -130,6 +130,24 @@ def test_verify_theorem_text(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("g=2:")
     assert lines[-1] == "all checks passed for genus 2..3"
+
+
+@pytest.mark.parametrize("kind", ALTERATIONS)
+@pytest.mark.parametrize("n", range(7))
+def test_verify_theorem_reports_an_altered_symmetric_power(capsys, monkeypatch, n, kind):
+    """At genus 3, Sym^n alone gains, loses or reweights one term, in each of
+    its rows in turn: the Macdonald check must fail at index n and nowhere
+    before it, whatever the other powers are."""
+    motive = formulas.sym_power_curve(n, 3)
+    for b in altered_rows(motive, kind):
+        altered = altered_motive(motive, b, kind)
+        monkeypatch.setattr(
+            cli, "sym_power_curve",
+            lambda k, genus: altered if k == n else formulas.sym_power_curve(k, genus),
+        )
+        code, out, _ = run(capsys, "verify-theorem", "--genus", "3", "--json")
+        failure = {"genus": 3, "check": "macdonald", "index": n}
+        assert (code, json.loads(out)["first_failure"]) == (1, failure), (b, kind)
 
 
 def test_identity_single_m_shows_both_sides(capsys):

@@ -24,8 +24,12 @@ from curvemotives import (
     tensor,
     verify_key_identity,
 )
+from curvemotives import realization
 from curvemotives.polynomials import BiPolynomial, IntPolynomial
 from helpers import (
+    ALTERATIONS,
+    altered_motive,
+    altered_rows,
     motive_pairs,
     motives,
     mutated_identity_lhs,
@@ -259,6 +263,29 @@ def test_blocks_are_twisted_sym_power_realizations(genus):
         assert all(coeff != 0 for _, coeff in block.hodge.items())
     assert all(coeff != 0 for _, coeff in report.total.items())
     assert report.total == hodge_polynomial(moduli_motive_conjectural(genus))
+
+
+@pytest.mark.parametrize("kind", ALTERATIONS)
+@pytest.mark.parametrize("k", range(3))
+def test_block_report_realizes_an_altered_symmetric_power(monkeypatch, k, kind):
+    """At genus 3, Sym^k alone gains, loses or reweights one term, in each of
+    its rows in turn: its blocks must be the twisted realization of the
+    altered motive, every other block that of the true one."""
+    motive = sym_power_curve(k, 3)
+    for b in altered_rows(motive, kind):
+        altered = altered_motive(motive, b, kind)
+        monkeypatch.setattr(
+            realization, "sym_power_curve",
+            lambda n, genus: altered if n == k else sym_power_curve(n, genus),
+        )
+        report = block_decomposition_report(3)
+        total = BiPolynomial.zero()
+        for block in report.blocks:
+            source = altered if block.sym_power == k else sym_power_curve(block.sym_power, 3)
+            twist = BiPolynomial.monomial(block.twist, block.twist)
+            assert block.hodge == hodge_polynomial(source) * twist, (b, kind, block.label)
+            total = total + block.hodge
+        assert report.total == total
 
 
 @pytest.mark.parametrize("genus", range(2, 31))
