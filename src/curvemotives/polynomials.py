@@ -130,9 +130,12 @@ class IntPolynomial:
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         coeffs: dict = {}
+        get = coeffs.get
+        right = other._coeffs.items()
         for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + c1 * c2
+            for e2, c2 in right:
+                e = e1 + e2
+                coeffs[e] = get(e, 0) + c1 * c2
         return IntPolynomial._raw({e: c for e, c in coeffs.items() if c}, self.var)
 
     def __pow__(self, n: int) -> "IntPolynomial":
@@ -214,7 +217,8 @@ class BiPolynomial:
         return cls({(p, q): coeff})
 
     def items(self) -> tuple:
-        return tuple(sorted(self._coeffs.items()))
+        keys = sorted(self._coeffs)  # pairs of ints sort faster than ((p, q), c) items
+        return tuple(zip(keys, map(self._coeffs.__getitem__, keys)))
 
     def coefficient(self, p: int, q: int) -> int:
         return self._coeffs.get((p, q), 0)
@@ -251,10 +255,12 @@ class BiPolynomial:
 
     def __mul__(self, other: "BiPolynomial") -> "BiPolynomial":
         coeffs: dict = {}
+        get = coeffs.get
+        right = other._coeffs.items()
         for (p1, q1), c1 in self._coeffs.items():
-            for (p2, q2), c2 in other._coeffs.items():
+            for (p2, q2), c2 in right:
                 key = (p1 + p2, q1 + q2)
-                coeffs[key] = coeffs.get(key, 0) + c1 * c2
+                coeffs[key] = get(key, 0) + c1 * c2
         return BiPolynomial._raw({pq: c for pq, c in coeffs.items() if c})
 
     def specialize_diagonal(self, var: str = "t") -> IntPolynomial:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from math import comb
+from typing import Iterable, Iterator
 
 from .core import MotiveClass, _check_genus
 from .formulas import _blocks, _bracket, sym_power_curve
@@ -51,6 +52,87 @@ def hodge_polynomial(motive: MotiveClass) -> BiPolynomial:
                 coeffs[pq] = get(pq, 0) + mult * weight
     # positive multiplicities times positive weights: no coefficient is 0
     return BiPolynomial._raw(coeffs)
+
+
+def _betti_rows(genus: int):
+    """``add(coeffs, b, terms)`` for the Betti realization: adds that of
+    sum mult lam^b h1 (x) L^c over the (c, mult) pairs of ``terms``, with
+    mult of either sign, and drops the coefficients that become 0."""
+    def add(coeffs: dict, b: int, terms) -> None:
+        weight = comb(2 * genus, b)
+        get = coeffs.get
+        for c, mult in terms:
+            e = b + 2 * c
+            value = get(e, 0) + mult * weight
+            if value:
+                coeffs[e] = value
+            else:
+                del coeffs[e]
+    return add
+
+
+def _hodge_rows(genus: int):
+    """``add(coeffs, b, terms)`` as in ``_betti_rows``, for the Hodge
+    realization; the weights of each b are worked out once per adder."""
+    forms: dict = {}
+
+    def add(coeffs: dict, b: int, terms) -> None:
+        form = forms.get(b)
+        if form is None:  # only the nonzero weights
+            form = forms[b] = [(p, b - p, comb(genus, p) * comb(genus, b - p))
+                               for p in range(max(0, b - genus), min(b, genus) + 1)]
+        get = coeffs.get
+        for p, q, weight in form:
+            for c, mult in terms:
+                pq = (p + c, q + c)
+                value = get(pq, 0) + mult * weight
+                if value:
+                    coeffs[pq] = value
+                else:
+                    del coeffs[pq]
+    return add
+
+
+def _realize_in_order(motives: Iterable, hodge: bool = False) -> Iterator:
+    """The Poincare polynomial, or with ``hodge`` the Hodge polynomial, of
+    each motive of ``motives``, all of one genus, in order.
+
+    Each result is the previous one plus the realization of the terms in
+    which its motive differs from the one before: realization is additive,
+    so only rows that changed are realized again.  The rows are compared
+    in full, by dict-view operations that read every term, and nothing is
+    assumed about how a motive was built, so a wrong term in any motive
+    changes that motive's result.  When Sym^(n-1) is followed by Sym^n,
+    each row gains one term and each step costs one realized term per row
+    instead of the whole motive.  ``motives`` is read lazily and only the
+    previous motive's rows are held.
+    """
+    coeffs: dict = {}
+    before: dict = {}
+    add = None
+    for motive in motives:
+        if add is None:
+            add = (_hodge_rows if hodge else _betti_rows)(motive.genus)
+        coeffs = dict(coeffs)
+        now = dict(motive.rows())
+        for b, row in now.items():
+            old = before.pop(b, None)
+            if old is None:
+                add(coeffs, b, row)
+            elif len(row) == len(old) + 1 and old <= row:  # one term more
+                new = next(reversed(row))
+                if new in old:
+                    (new,) = row - old
+                add(coeffs, b, (new,))
+            else:
+                gone = old - row
+                if gone:
+                    add(coeffs, b, [(c, -mult) for c, mult in gone])
+                add(coeffs, b, row - old)
+        for b, old in before.items():  # rows that vanished
+            add(coeffs, b, [(c, -mult) for c, mult in old])
+        before = now
+        yield BiPolynomial._raw(coeffs) if hodge else IntPolynomial._raw(coeffs, "t")
 
 
 def key_identity_sides(m: int) -> tuple:
@@ -176,11 +258,13 @@ def block_decomposition_report(genus: int) -> BlockReport:
     (t, t).  The total is accumulated once, as the blocks are made.
     """
     _check_genus(genus)
+    table = _blocks(genus)
+    powers = _realize_in_order((sym_power_curve(k, genus) for k, _ in table), hodge=True)
     blocks = []
     total: dict = {}
     get = total.get
-    for k, twists in _blocks(genus):
-        terms = hodge_polynomial(sym_power_curve(k, genus)).items()
+    for (k, twists), power in zip(table, powers):
+        terms = power.items()
         for twist in twists:
             hodge = {(p + twist, q + twist): c for (p, q), c in terms}
             for pq, c in hodge.items():

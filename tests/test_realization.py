@@ -25,6 +25,7 @@ from curvemotives import (
     verify_key_identity,
 )
 from curvemotives import realization
+from curvemotives.realization import _realize_in_order
 from curvemotives.polynomials import BiPolynomial, IntPolynomial
 from helpers import (
     ALTERATIONS,
@@ -110,6 +111,65 @@ def test_realization_multiplicative(pair):
 @given(motives())
 def test_hodge_symmetry(m):
     assert hodge_polynomial(m).is_symmetric()
+
+
+@st.composite
+def motive_sequences(draw):
+    """Up to eight motives at one genus.  After the first, each is the one
+    before (the same object), an independent motive, or the one before with
+    one term gained (at the front or the end of its row), lost or given a
+    new multiplicity; so rows grow, shrink, vanish and reappear."""
+    genus = draw(st.integers(min_value=2, max_value=4))
+    sequence = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        steps = ("same", "fresh", "gain", "lose", "mult") if sequence else ("fresh",)
+        step = draw(st.sampled_from(steps))
+        if step == "same":
+            sequence.append(sequence[-1])
+            continue
+        if step == "fresh":
+            sequence.append(draw(motives(genus=genus)))
+            continue
+        terms = dict(sequence[-1].items())
+        mult = draw(st.integers(min_value=1, max_value=4))
+        if step == "gain" or not terms:
+            key = (draw(st.integers(min_value=0, max_value=2 * genus)),
+                   draw(st.integers(min_value=0, max_value=9)))
+            if key in terms:
+                terms[key] += mult
+            elif draw(st.booleans()):
+                terms = {key: mult, **terms}
+            else:
+                terms[key] = mult
+        else:
+            key = draw(st.sampled_from(sorted(terms)))
+            if step == "lose":
+                del terms[key]
+            else:
+                terms[key] = mult
+        sequence.append(MotiveClass(genus, terms))
+    return sequence
+
+
+@given(motive_sequences())
+def test_realizing_in_order_equals_realizing_each(sequence):
+    """Every result is kept until the end, so a later step that changed an
+    earlier result would fail here too."""
+    assert list(_realize_in_order(iter(sequence))) == [poincare_polynomial(m) for m in sequence]
+    assert list(_realize_in_order(iter(sequence), hodge=True)) == [
+        hodge_polynomial(m) for m in sequence
+    ]
+
+
+def test_realizing_in_order_reads_the_motives_lazily():
+    def powers():
+        yield sym_power_curve(0, 2)
+        raise AssertionError("read before its result was asked for")
+
+    for hodge in (False, True):
+        results = _realize_in_order(powers(), hodge=hodge)
+        assert next(results) == (hodge_polynomial if hodge else poincare_polynomial)(
+            sym_power_curve(0, 2))
 
 
 @pytest.mark.parametrize("genus", range(2, 9))
@@ -254,7 +314,7 @@ def test_block_count_and_total(genus):
     assert report.total == hodge_polynomial(moduli_motive_delbano(genus))
 
 
-@pytest.mark.parametrize("genus", range(2, 31))
+@pytest.mark.parametrize("genus", range(2, 41))
 def test_blocks_are_twisted_sym_power_realizations(genus):
     report = block_decomposition_report(genus)
     for block in report.blocks:
