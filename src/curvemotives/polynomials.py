@@ -217,8 +217,7 @@ class BiPolynomial:
         return cls({(p, q): coeff})
 
     def items(self) -> tuple:
-        keys = sorted(self._coeffs)  # pairs of ints sort faster than ((p, q), c) items
-        return tuple(zip(keys, map(self._coeffs.__getitem__, keys)))
+        return tuple(sorted(self._coeffs.items()))
 
     def coefficient(self, p: int, q: int) -> int:
         return self._coeffs.get((p, q), 0)

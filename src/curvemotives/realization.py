@@ -5,6 +5,16 @@ Hodge realization sends it to (sum_{p+q=b} C(g,p) C(g,q) u^p v^q) (uv)^c.
 Both are additive in the motive and multiplicative where the tensor
 product is defined.
 
+Additivity lets ``_realize_in_order`` realize a sequence of motives of one
+genus, such as Sym^0, Sym^1, ..., as a running sum: each result is the
+previous one plus the realization of the terms that changed.  It finds them
+by comparing every row with the previous motive's row, reading every term,
+instead of trusting how the motives were built, so a wrong term in any one
+motive still changes that motive's result.  ``decompose`` and the Macdonald
+check of ``verify-theorem`` use it; ``poincare_polynomial`` and
+``hodge_polynomial`` realize one motive with their own loops, which are
+faster for a single motive and serve as the reference for the kernel.
+
 Two oracles that never touch the motive algebra validate the theorem-level
 constructors: the Atiyah-Bott closed form for the Poincare polynomial of
 the moduli space (exact long division, zero remainder required) and
@@ -95,17 +105,10 @@ def _hodge_rows(genus: int):
 
 def _realize_in_order(motives: Iterable, hodge: bool = False) -> Iterator:
     """The Poincare polynomial, or with ``hodge`` the Hodge polynomial, of
-    each motive of ``motives``, all of one genus, in order.
-
-    Each result is the previous one plus the realization of the terms in
-    which its motive differs from the one before: realization is additive,
-    so only rows that changed are realized again.  The rows are compared
-    in full, by dict-view operations that read every term, and nothing is
-    assumed about how a motive was built, so a wrong term in any motive
-    changes that motive's result.  When Sym^(n-1) is followed by Sym^n,
-    each row gains one term and each step costs one realized term per row
-    instead of the whole motive.  ``motives`` is read lazily and only the
-    previous motive's rows are held.
+    each motive of ``motives``, all of one genus, in order (see the module
+    docstring).  From Sym^(n-1) to Sym^n each row gains one term, so a step
+    realizes one term per row instead of the whole motive.  ``motives`` is
+    read lazily and only the previous motive's rows are held.
     """
     coeffs: dict = {}
     before: dict = {}
@@ -254,8 +257,10 @@ def block_decomposition_report(genus: int) -> BlockReport:
     ``moduli_motive_conjectural`` is built from: twists k and 3g-3-2k for
     k = 0..g-2, then the middle block at k = g-1 with twist g-1.  The 2g-1
     block polynomials sum to the Hodge polynomial of the moduli space.
-    Each h(C^(k)) is realized once; twisting by L^t shifts its exponents by
-    (t, t).  The total is accumulated once, as the blocks are made.
+    The h(C^(k)) are realized in order of k, each from the one before
+    (``_realize_in_order``), and each one's terms are sorted once for both
+    twists; twisting by L^t shifts the exponents by (t, t).  The total is
+    accumulated once, as the blocks are made.
     """
     _check_genus(genus)
     table = _blocks(genus)
@@ -264,7 +269,9 @@ def block_decomposition_report(genus: int) -> BlockReport:
     total: dict = {}
     get = total.get
     for (k, twists), power in zip(table, powers):
-        terms = power.items()
+        coeffs = power._coeffs  # unordered: sorting its (p, q) keys beats sorting its items
+        keys = sorted(coeffs)
+        terms = tuple(zip(keys, map(coeffs.__getitem__, keys)))
         for twist in twists:
             hodge = {(p + twist, q + twist): c for (p, q), c in terms}
             for pq, c in hodge.items():
