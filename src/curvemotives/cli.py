@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the rank-2 fixed-determinant moduli space.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")  # main requires it, after parsing
     for name, help_text, handler, arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flags, options in arguments:
@@ -432,6 +432,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.command is None:  # only now, so that an unknown option is named first
+            _parser().error("the following arguments are required: command")
         _check(args)  # before the handler, so a bad number is reported before any parse error
         return args.func(args)
     except SystemExit as exc:  # argparse, also parser.error in _check

@@ -29,6 +29,20 @@ def _accumulate(items: Iterable, arity: int) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _merge(coeffs: dict, terms: Iterable, scale: int = 1) -> dict:
+    """Add ``scale`` times the (exponent, coeff) pairs of ``terms`` into
+    ``coeffs``, deleting each exponent whose coefficient reaches 0, and
+    return ``coeffs``.  The pairs and ``scale`` must be nonzero."""
+    get = coeffs.get
+    for key, c in terms:
+        new = get(key, 0) + scale * c
+        if new:
+            coeffs[key] = new
+        else:
+            del coeffs[key]
+    return coeffs
+
+
 def _join_signed(terms: Iterable, u: str, v: str) -> str:
     """'1 - 2u + u^2*v^3' from ((p, q), c) pairs in print order; '0' if none."""
     pieces = []
@@ -113,20 +127,13 @@ class IntPolynomial:
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        coeffs = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            new = coeffs.get(e, 0) + c
-            if new:
-                coeffs[e] = new
-            else:
-                coeffs.pop(e, None)
-        return IntPolynomial._raw(coeffs, self.var)
+        return IntPolynomial._raw(_merge(dict(self._coeffs), other._coeffs.items()), self.var)
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial._raw({e: -c for e, c in self._coeffs.items()}, self.var)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        return IntPolynomial._raw(_merge(dict(self._coeffs), other._coeffs.items(), -1), self.var)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         coeffs: dict = {}
@@ -167,14 +174,9 @@ class IntPolynomial:
                     raise ValueError(
                         f"leading coefficient {lead_coeff} does not divide {coeff} exactly"
                     )
-                quotient[deg - lead_exp] = q
-                for e, c in divisor._coeffs.items():
-                    key = deg - lead_exp + e
-                    new = remainder.get(key, 0) - q * c
-                    if new:
-                        remainder[key] = new
-                    else:
-                        remainder.pop(key, None)
+                shift = deg - lead_exp
+                quotient[shift] = q
+                _merge(remainder, ((shift + e, c) for e, c in divisor._coeffs.items()), -q)
             deg -= 1
         return IntPolynomial._raw(quotient, self.var), IntPolynomial._raw(remainder, self.var)
 
@@ -243,14 +245,7 @@ class BiPolynomial:
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other: "BiPolynomial") -> "BiPolynomial":
-        coeffs = dict(self._coeffs)
-        for pq, c in other._coeffs.items():
-            new = coeffs.get(pq, 0) + c
-            if new:
-                coeffs[pq] = new
-            else:
-                coeffs.pop(pq, None)
-        return BiPolynomial._raw(coeffs)
+        return BiPolynomial._raw(_merge(dict(self._coeffs), other._coeffs.items()))
 
     def __mul__(self, other: "BiPolynomial") -> "BiPolynomial":
         coeffs: dict = {}

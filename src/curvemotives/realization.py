@@ -11,9 +11,10 @@ previous one plus the realization of the terms that changed.  It finds them
 by comparing every row with the previous motive's row, reading every term,
 instead of trusting how the motives were built, so a wrong term in any one
 motive still changes that motive's result.  ``decompose`` and the Macdonald
-check of ``verify-theorem`` use it; ``poincare_polynomial`` and
-``hodge_polynomial`` realize one motive with their own loops, which are
-faster for a single motive and serve as the reference for the kernel.
+check of ``verify-theorem`` use it.  The kernel, ``poincare_polynomial``
+and ``hodge_polynomial`` share one adder per realization (``_betti_rows``,
+``_hodge_rows``): the only code that turns motive terms into polynomial
+terms.
 
 Two oracles that never touch the motive algebra validate the theorem-level
 constructors: the Atiyah-Bott closed form for the Poincare polynomial of
@@ -38,46 +39,33 @@ from .polynomials import BiPolynomial, IntPolynomial
 
 def poincare_polynomial(motive: MotiveClass) -> IntPolynomial:
     """Betti realization: sum of C(2g, b) t^(b+2c) over the term map."""
-    g = motive.genus
     coeffs: dict = {}
+    add = _betti_rows(motive.genus)
     for b, row in motive.rows():
-        weight = comb(2 * g, b)
-        for c, mult in row:
-            coeffs[b + 2 * c] = coeffs.get(b + 2 * c, 0) + mult * weight
-    # every multiplicity is positive and every b <= 2g, so no coefficient is 0
+        add(coeffs, b, row)
     return IntPolynomial._raw(coeffs, "t")
 
 
 def hodge_polynomial(motive: MotiveClass) -> BiPolynomial:
     """Hodge realization; coefficients are the Hodge numbers h^{p,q}."""
-    g = motive.genus
     coeffs: dict = {}
-    get = coeffs.get
+    add = _hodge_rows(motive.genus)
     for b, row in motive.rows():
-        for p in range(max(0, b - g), min(b, g) + 1):  # only the nonzero weights
-            q = b - p
-            weight = comb(g, p) * comb(g, q)
-            for c, mult in row:
-                pq = (p + c, q + c)
-                coeffs[pq] = get(pq, 0) + mult * weight
-    # positive multiplicities times positive weights: no coefficient is 0
+        add(coeffs, b, row)
     return BiPolynomial._raw(coeffs)
 
 
 def _betti_rows(genus: int):
     """``add(coeffs, b, terms)`` for the Betti realization: adds that of
-    sum mult lam^b h1 (x) L^c over the (c, mult) pairs of ``terms``, with
-    mult of either sign, and drops the coefficients that become 0."""
+    sum mult lam^b h1 (x) L^c over the (c, mult) pairs of ``terms``.  It
+    keeps a coefficient that reaches 0; with positive multiplicities none
+    can, since every b <= 2g has a positive weight."""
     def add(coeffs: dict, b: int, terms) -> None:
         weight = comb(2 * genus, b)
         get = coeffs.get
         for c, mult in terms:
             e = b + 2 * c
-            value = get(e, 0) + mult * weight
-            if value:
-                coeffs[e] = value
-            else:
-                del coeffs[e]
+            coeffs[e] = get(e, 0) + mult * weight
     return add
 
 
@@ -95,11 +83,7 @@ def _hodge_rows(genus: int):
         for p, q, weight in form:
             for c, mult in terms:
                 pq = (p + c, q + c)
-                value = get(pq, 0) + mult * weight
-                if value:
-                    coeffs[pq] = value
-                else:
-                    del coeffs[pq]
+                coeffs[pq] = get(pq, 0) + mult * weight
     return add
 
 
@@ -108,7 +92,9 @@ def _realize_in_order(motives: Iterable, hodge: bool = False) -> Iterator:
     each motive of ``motives``, all of one genus, in order (see the module
     docstring).  From Sym^(n-1) to Sym^n each row gains one term, so a step
     realizes one term per row instead of the whole motive.  ``motives`` is
-    read lazily and only the previous motive's rows are held.
+    read lazily and only the previous motive's rows are held.  A step that
+    only adds keeps every coefficient positive; one that subtracts drops
+    the coefficients it brought to 0.
     """
     coeffs: dict = {}
     before: dict = {}
@@ -118,6 +104,7 @@ def _realize_in_order(motives: Iterable, hodge: bool = False) -> Iterator:
             add = (_hodge_rows if hodge else _betti_rows)(motive.genus)
         coeffs = dict(coeffs)
         now = dict(motive.rows())
+        lost = False
         for b, row in now.items():
             old = before.pop(b, None)
             if old is None:
@@ -130,10 +117,13 @@ def _realize_in_order(motives: Iterable, hodge: bool = False) -> Iterator:
             else:
                 gone = old - row
                 if gone:
+                    lost = True
                     add(coeffs, b, [(c, -mult) for c, mult in gone])
                 add(coeffs, b, row - old)
         for b, old in before.items():  # rows that vanished
             add(coeffs, b, [(c, -mult) for c, mult in old])
+        if lost or before:
+            coeffs = {key: value for key, value in coeffs.items() if value}
         before = now
         yield BiPolynomial._raw(coeffs) if hodge else IntPolynomial._raw(coeffs, "t")
 

@@ -558,10 +558,14 @@ VALIDATION_ERRORS = {
     ("decompose", "--format", "xml"):
         "curvemotives decompose: error: argument --format: invalid choice: 'xml' "
         "(choose from 'text', 'json', 'csv')",
+    # the top level: an unknown option is named, not the missing command
+    ("-x",): "curvemotives: error: unrecognized arguments: -x",
+    ("--version",): "curvemotives: error: unrecognized arguments: --version",
+    (): "curvemotives: error: the following arguments are required: command",
 }
 
 
-@pytest.mark.parametrize("argv", list(VALIDATION_ERRORS), ids=" ".join)
+@pytest.mark.parametrize("argv", list(VALIDATION_ERRORS), ids=lambda argv: " ".join(argv) or "bare")
 def test_validation_error_exit_and_stderr(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", VALIDATION_ERRORS[argv] + "\n")

@@ -12,6 +12,12 @@ _signed = st.one_of(
     st.integers(min_value=-(10**30), max_value=10**30),
 )
 
+_bi_coeffs = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)),
+    _signed,
+    max_size=10,
+)
+
 
 def test_construction_drops_zeros_and_accumulates():
     p = IntPolynomial([(2, 3), (2, -3), (0, 1), (5, 4)])
@@ -121,6 +127,18 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a - a == IntPolynomial.zero()
+    assert a - b == a + (-b)
+    assert (a - b) + b == a
+
+
+@given(_bi_coeffs, _bi_coeffs, _bi_coeffs)
+def test_bipolynomial_addition_laws(a, b, c):
+    a, b, c = BiPolynomial(a), BiPolynomial(b), BiPolynomial(c)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + BiPolynomial({pq: -coeff for pq, coeff in a.items()}) == BiPolynomial.zero()
 
 
 @given(int_polynomials, int_polynomials)
@@ -169,13 +187,7 @@ def test_int_polynomial_str_matches_reference_printer(coeffs, var):
     assert str(poly) == reference_int_str(poly)
 
 
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)),
-        _signed,
-        max_size=10,
-    )
-)
+@given(_bi_coeffs)
 def test_bipolynomial_str_matches_reference_printer(coeffs):
     poly = BiPolynomial(coeffs)
     assert str(poly) == reference_bi_str(poly)
