@@ -189,13 +189,11 @@ def _verify_text(results, failure, lo: int, hi: int) -> str:
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
     lo, hi = args.genus_min, args.genus_max
     outcomes = [(genus, _verify_genus(genus)) for genus in range(lo, hi + 1)]
-    failures = [
-        {"genus": genus, "check": name, "index": index}
-        for genus, checks in outcomes
-        for name, index in checks.items()
-        if index != "pass"
-    ]
-    failure = failures[0] if failures else None
+    failure = next(
+        ({"genus": genus, "check": name, "index": index}
+         for genus, checks in outcomes for name, index in checks.items() if index != "pass"),
+        None,
+    )
     results = [
         (genus, {name: "pass" if index == "pass" else "fail" for name, index in checks.items()})
         for genus, checks in outcomes

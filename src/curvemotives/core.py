@@ -221,16 +221,19 @@ def _check_same_genus(a: MotiveClass, b: MotiveClass) -> int:
     return a.genus
 
 
-def direct_sum(a: MotiveClass, b: MotiveClass) -> MotiveClass:
-    """Pointwise sum of multiplicity maps (the operation written ⊕)."""
-    genus = _check_same_genus(a, b)
-    rows = dict(a._rows)
-    for index, row in b._rows.items():
-        merged = dict(rows.get(index, ()))
-        for power, mult in row.items():
-            merged[power] = merged.get(power, 0) + mult
-        rows[index] = merged
-    return MotiveClass._from_rows(genus, rows)
+def direct_sum(first: MotiveClass, *rest: MotiveClass) -> MotiveClass:
+    """Pointwise sum of the multiplicity maps of one or more motives of one
+    genus (the operation written ⊕).  A row is copied before an operand
+    adds into it, so no operand's rows change."""
+    rows = dict(first._rows)
+    for other in rest:
+        _check_same_genus(first, other)
+        for index, row in other._rows.items():
+            merged = dict(rows.get(index, ()))
+            for power, mult in row.items():
+                merged[power] = merged.get(power, 0) + mult
+            rows[index] = merged
+    return MotiveClass._from_rows(first.genus, rows)
 
 
 def tensor(a: MotiveClass, b: MotiveClass) -> MotiveClass:

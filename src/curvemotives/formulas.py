@@ -24,15 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .core import (
-    MotiveClass,
-    _check_genus,
-    direct_sum,
-    lambda_h1,
-    lefschetz,
-    tensor,
-    zero,
-)
+from .core import MotiveClass, _check_genus, direct_sum, lambda_h1, lefschetz, tensor
 
 
 def _tate(genus: int, counts: dict) -> MotiveClass:
@@ -83,27 +75,24 @@ def sym_power_curve(n: int, genus: int) -> MotiveClass:
 def moduli_motive_delbano(genus: int) -> MotiveClass:
     """del Bano's closed form for the moduli motive at the given genus."""
     _check_genus(genus)
-    total = zero(genus)
-    for k in range(0, genus + 1):
-        linear = _tate(genus, dict.fromkeys(range(genus - k), 1))
-        quadratic = _tate(genus, dict.fromkeys(range(0, 2 * genus - 2 * k - 1, 2), 1))
-        summand = tensor(
-            tensor(tensor(lambda_h1(genus, k), linear), quadratic),
+    return direct_sum(*(  # lam^k h1 (x) (1 + .. + L^(g-k-1)) (x) (1 + .. + L^(2g-2k-2)) (x) L^k
+        tensor(
+            tensor(tensor(lambda_h1(genus, k), _tate(genus, dict.fromkeys(range(genus - k), 1))),
+                   _tate(genus, dict.fromkeys(range(0, 2 * genus - 2 * k - 1, 2), 1))),
             lefschetz(genus, k),
         )
-        total = direct_sum(total, summand)
-    return total
+        for k in range(genus + 1)
+    ))
 
 
 @lru_cache(maxsize=None)
 def moduli_motive_conjectural(genus: int) -> MotiveClass:
     """Symmetric-power decomposition of the moduli motive."""
     _check_genus(genus)
-    total = zero(genus)
-    for k, twists in _blocks(genus):
-        twist_sum = _tate(genus, dict.fromkeys(twists, 1))  # the twists are distinct
-        total = direct_sum(total, tensor(sym_power_curve(k, genus), twist_sum))
-    return total
+    return direct_sum(*(
+        tensor(sym_power_curve(k, genus), _tate(genus, dict.fromkeys(twists, 1)))  # distinct twists
+        for k, twists in _blocks(genus)
+    ))
 
 
 def lambda_coefficient(motive: MotiveClass, index: int) -> MotiveClass:

@@ -259,10 +259,8 @@ class BiPolynomial:
 
     def specialize_diagonal(self, var: str = "t") -> IntPolynomial:
         """Substitute u = v = var, collapsing (p, q) to degree p + q."""
-        coeffs: dict = {}
-        for (p, q), c in self._coeffs.items():
-            coeffs[p + q] = coeffs.get(p + q, 0) + c
-        return IntPolynomial._raw({e: c for e, c in coeffs.items() if c}, var)
+        terms = ((p + q, c) for (p, q), c in self._coeffs.items())
+        return IntPolynomial._raw(_merge({}, terms), var)
 
     def __str__(self) -> str:
         # ascending total degree, u-power descending within a degree

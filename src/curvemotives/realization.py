@@ -11,10 +11,10 @@ previous one plus the realization of the terms that changed.  It finds them
 by comparing every row with the previous motive's row, reading every term,
 instead of trusting how the motives were built, so a wrong term in any one
 motive still changes that motive's result.  ``decompose`` and the Macdonald
-check of ``verify-theorem`` use it.  The kernel, ``poincare_polynomial``
-and ``hodge_polynomial`` share one adder per realization (``_betti_rows``,
-``_hodge_rows``): the only code that turns motive terms into polynomial
-terms.
+check of ``verify-theorem`` use it, and ``poincare_polynomial`` and
+``hodge_polynomial`` are its runs over one motive, so the kernel, through
+one adder per realization (``_betti_rows``, ``_hodge_rows``), is the only
+code that turns motive terms into polynomial terms.
 
 Two oracles that never touch the motive algebra validate the theorem-level
 constructors: the Atiyah-Bott closed form for the Poincare polynomial of
@@ -39,20 +39,12 @@ from .polynomials import BiPolynomial, IntPolynomial
 
 def poincare_polynomial(motive: MotiveClass) -> IntPolynomial:
     """Betti realization: sum of C(2g, b) t^(b+2c) over the term map."""
-    coeffs: dict = {}
-    add = _betti_rows(motive.genus)
-    for b, row in motive.rows():
-        add(coeffs, b, row)
-    return IntPolynomial._raw(coeffs, "t")
+    return next(_realize_in_order((motive,)))
 
 
 def hodge_polynomial(motive: MotiveClass) -> BiPolynomial:
     """Hodge realization; coefficients are the Hodge numbers h^{p,q}."""
-    coeffs: dict = {}
-    add = _hodge_rows(motive.genus)
-    for b, row in motive.rows():
-        add(coeffs, b, row)
-    return BiPolynomial._raw(coeffs)
+    return next(_realize_in_order((motive,), hodge=True))
 
 
 def _betti_rows(genus: int):

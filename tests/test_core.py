@@ -94,6 +94,8 @@ def test_direct_sum_disjoint_keys():
 def test_genus_mismatch_rejected():
     with pytest.raises(ValueError, match="genus mismatch"):
         direct_sum(unit(2), unit(3))
+    with pytest.raises(ValueError, match="genus mismatch: 2 vs 3"):
+        direct_sum(unit(2), unit(2), unit(3))
     with pytest.raises(ValueError, match="genus mismatch"):
         tensor(unit(2), unit(3))
 
@@ -281,7 +283,7 @@ def test_direct_sum_commutative(pair):
 @given(motive_triples())
 def test_direct_sum_associative(triple):
     a, b, c = triple
-    assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
+    assert direct_sum(direct_sum(a, b), c) == direct_sum(a, b, c) == direct_sum(a, direct_sum(b, c))
 
 
 @given(motives())
@@ -315,10 +317,13 @@ def test_tensor_distributes_over_direct_sum(triple):
 @given(motive_pairs(tate_second=True))
 def test_closure_invariants(pair):
     a, b = pair
-    for result in (direct_sum(a, b), tensor(a, b)):
+    copies = (MotiveClass(a.genus, a.items()), MotiveClass(b.genus, b.items()))
+    for result in (direct_sum(a, b), direct_sum(a, b, a), tensor(a, b)):
         assert all(mult > 0 for _, mult in result.items())
         assert all(key.lambda_index <= 2 * result.genus for key, _ in result.items())
         assert result.to_json() == result.to_json()
+    # a sum copies every row it adds into, so neither operand changes
+    assert (a, b) == copies
 
 
 def _assert_canonical_rows(m: MotiveClass) -> None:
@@ -341,6 +346,8 @@ def test_every_builder_keeps_the_row_invariants(pair, n, index):
     for m in (
         direct_sum(a, b),
         direct_sum(b, a),
+        direct_sum(a, b, a),
+        direct_sum(a),
         tensor(a, b),
         tensor(b, a),
         tensor(a, zero(g)),
