@@ -3,7 +3,7 @@
 Subcommands: eval, equal, verify-theorem, identity, poincare, hodge,
 decompose.  Results go to stdout (or --out PATH), diagnostics to stderr.
 Exit codes: 0 success / all checks pass, 1 a checked statement is false,
-2 usage or expression parse error, 3 evaluation error.
+2 usage or expression parse error, 3 evaluation error or out of memory.
 
 Output is deterministic: every command computes its results serially in
 ascending parameter order, so identical inputs produce byte-identical
@@ -220,7 +220,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
 
 def _identity_text(results, first_bad, m_min: int, m_max: int) -> str:
     lines = [
-        f"m={m}: ok  both sides: {lhs}" if ok else f"m={m}: FAIL  lhs: {lhs}  rhs: {rhs}"
+        f"m={m}: ok  both sides: {lhs:x}" if ok else f"m={m}: FAIL  lhs: {lhs:x}  rhs: {rhs:x}"
         for m, lhs, rhs, ok in results
     ]
     if first_bad is None:
@@ -241,7 +241,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
             "m_min": args.m_min,
             "m_max": args.m_max,
             "results": [
-                {"m": m, "ok": ok, "lhs": str(lhs), "rhs": str(rhs)}
+                {"m": m, "ok": ok, "lhs": f"{lhs:x}", "rhs": f"{rhs:x}"}
                 for m, lhs, rhs, ok in results
             ],
             "all_pass": first_bad is None,
@@ -442,6 +442,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:  # NonTateTensor is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EVAL
+    except MemoryError:  # the work is unwound, so printing has room again
+        print("error: out of memory", file=sys.stderr)
         return EXIT_EVAL
 
 

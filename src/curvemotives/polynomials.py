@@ -1,9 +1,11 @@
 """Sparse exact-integer polynomials in one variable and in (u, v).
 
 Coefficients are plain Python ints, so all arithmetic is arbitrary
-precision and exact.  Zero coefficients are never stored.  The variable
-name on :class:`IntPolynomial` is presentational only (t for Betti
-realizations, x for formal identities) and does not affect equality.
+precision and exact.  Zero coefficients are never stored.  Both classes
+keep that coefficient dict, and read it alike, through the private base
+:class:`_Sparse`.  An :class:`IntPolynomial` holds no variable name: the
+letter is chosen when printing, t by ``str`` and any other through the
+format spec, so ``f"{p:x}"`` prints in x.
 """
 
 from __future__ import annotations
@@ -69,43 +71,58 @@ def _join_signed(terms: Iterable, u: str, v: str) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-class IntPolynomial:
-    """Sparse univariate polynomial with exact integer coefficients."""
+class _Sparse:
+    """The storage both polynomial classes share: a zero-free dict from
+    exponent (an int, or a (p, q) pair) to coefficient."""
 
-    __slots__ = ("_coeffs", "var")
-
-    def __init__(self, coeffs: CoeffsLike = (), var: str = "t"):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self._coeffs = _accumulate(items, 1)
-        self.var = var
+    __slots__ = ("_coeffs",)
 
     @classmethod
-    def _raw(cls, coeffs: dict, var: str) -> "IntPolynomial":
+    def _raw(cls, coeffs: dict):
         # internal: coeffs already validated, zero-free, owned by the callee
         poly = cls.__new__(cls)
         poly._coeffs = coeffs
-        poly.var = var
         return poly
 
     @classmethod
-    def zero(cls, var: str = "t") -> "IntPolynomial":
-        return cls((), var)
-
-    @classmethod
-    def one(cls, var: str = "t") -> "IntPolynomial":
-        return cls({0: 1}, var)
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1, var: str = "t") -> "IntPolynomial":
-        return cls({exponent: coeff}, var)
-
-    @classmethod
-    def geometric(cls, top: int, step: int = 1, var: str = "t") -> "IntPolynomial":
-        """1 + x^step + ... + x^top (empty, i.e. zero, when top < 0)."""
-        return cls._raw(dict.fromkeys(range(0, top + 1, step), 1), var)
+    def zero(cls):
+        return cls._raw({})
 
     def items(self) -> tuple:
         return tuple(sorted(self._coeffs.items()))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coeffs.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(sorted(self._coeffs.items()))})"
+
+
+class IntPolynomial(_Sparse):
+    """Sparse univariate polynomial with exact integer coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: CoeffsLike = ()):
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        self._coeffs = _accumulate(items, 1)
+
+    @classmethod
+    def one(cls) -> "IntPolynomial":
+        return cls({0: 1})
+
+    @classmethod
+    def monomial(cls, exponent: int, coeff: int = 1) -> "IntPolynomial":
+        return cls({exponent: coeff})
+
+    @classmethod
+    def geometric(cls, top: int, step: int = 1) -> "IntPolynomial":
+        """1 + t^step + ... + t^top (empty, i.e. zero, when top < 0)."""
+        return cls._raw(dict.fromkeys(range(0, top + 1, step), 1))
 
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
@@ -114,26 +131,21 @@ class IntPolynomial:
         """Degree, with -1 for the zero polynomial."""
         return max(self._coeffs, default=-1)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+    __hash__ = _Sparse.__hash__  # defining __eq__ would otherwise unset it
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial._raw(_merge(dict(self._coeffs), other._coeffs.items()), self.var)
+        return IntPolynomial._raw(_merge(dict(self._coeffs), other._coeffs.items()))
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial._raw({e: -c for e, c in self._coeffs.items()}, self.var)
+        return IntPolynomial._raw({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial._raw(_merge(dict(self._coeffs), other._coeffs.items(), -1), self.var)
+        return IntPolynomial._raw(_merge(dict(self._coeffs), other._coeffs.items(), -1))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         coeffs: dict = {}
@@ -143,12 +155,12 @@ class IntPolynomial:
             for e2, c2 in right:
                 e = e1 + e2
                 coeffs[e] = get(e, 0) + c1 * c2
-        return IntPolynomial._raw({e: c for e, c in coeffs.items() if c}, self.var)
+        return IntPolynomial._raw({e: c for e, c in coeffs.items() if c})
 
     def __pow__(self, n: int) -> "IntPolynomial":
         if n < 0:
             raise ValueError("negative power")
-        result = IntPolynomial.one(self.var)
+        result = IntPolynomial.one()
         for _ in range(n):
             result = result * self
         return result
@@ -178,37 +190,26 @@ class IntPolynomial:
                 quotient[shift] = q
                 _merge(remainder, ((shift + e, c) for e, c in divisor._coeffs.items()), -q)
             deg -= 1
-        return IntPolynomial._raw(quotient, self.var), IntPolynomial._raw(remainder, self.var)
-
-    def __call__(self, value: int) -> int:
-        return sum(c * value**e for e, c in self._coeffs.items())
+        return IntPolynomial._raw(quotient), IntPolynomial._raw(remainder)
 
     def __str__(self) -> str:
-        return _join_signed((((e, 0), c) for e, c in sorted(self._coeffs.items())), self.var, "")
+        return self.__format__("")
 
-    def __repr__(self) -> str:
-        return f"IntPolynomial({dict(sorted(self._coeffs.items()))}, var={self.var!r})"
+    def __format__(self, var: str) -> str:
+        """The text in the variable ``var``, t if empty: f"{p:x}" prints in x."""
+        if var and not var.isidentifier():
+            raise ValueError(f"format spec must be a variable name, got {var!r}")
+        return _join_signed((((e, 0), c) for e, c in sorted(self._coeffs.items())), var or "t", "")
 
 
-class BiPolynomial:
+class BiPolynomial(_Sparse):
     """Sparse polynomial in (u, v) with exact integer coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: CoeffsLike = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         self._coeffs = _accumulate(items, 2)
-
-    @classmethod
-    def _raw(cls, coeffs: dict) -> "BiPolynomial":
-        # internal: coeffs already validated, zero-free, owned by the callee
-        poly = cls.__new__(cls)
-        poly._coeffs = coeffs
-        return poly
-
-    @classmethod
-    def zero(cls) -> "BiPolynomial":
-        return cls()
 
     @classmethod
     def one(cls) -> "BiPolynomial":
@@ -218,15 +219,8 @@ class BiPolynomial:
     def monomial(cls, p: int, q: int, coeff: int = 1) -> "BiPolynomial":
         return cls({(p, q): coeff})
 
-    def items(self) -> tuple:
-        return tuple(sorted(self._coeffs.items()))
-
     def coefficient(self, p: int, q: int) -> int:
         return self._coeffs.get((p, q), 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def max_exponent(self) -> int:
         """Largest exponent of u or v appearing; -1 for zero."""
@@ -241,8 +235,7 @@ class BiPolynomial:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+    __hash__ = _Sparse.__hash__  # defining __eq__ would otherwise unset it
 
     def __add__(self, other: "BiPolynomial") -> "BiPolynomial":
         return BiPolynomial._raw(_merge(dict(self._coeffs), other._coeffs.items()))
@@ -257,15 +250,12 @@ class BiPolynomial:
                 coeffs[key] = get(key, 0) + c1 * c2
         return BiPolynomial._raw({pq: c for pq, c in coeffs.items() if c})
 
-    def specialize_diagonal(self, var: str = "t") -> IntPolynomial:
-        """Substitute u = v = var, collapsing (p, q) to degree p + q."""
+    def specialize_diagonal(self) -> IntPolynomial:
+        """Substitute u = v = t, collapsing (p, q) to degree p + q."""
         terms = ((p + q, c) for (p, q), c in self._coeffs.items())
-        return IntPolynomial._raw(_merge({}, terms), var)
+        return IntPolynomial._raw(_merge({}, terms))
 
     def __str__(self) -> str:
         # ascending total degree, u-power descending within a degree
         order = sorted(self._coeffs.items(), key=lambda item: (item[0][0] + item[0][1], item[0][1]))
         return _join_signed(order, "u", "v")
-
-    def __repr__(self) -> str:
-        return f"BiPolynomial({dict(sorted(self._coeffs.items()))})"

@@ -117,7 +117,7 @@ def _realize_in_order(motives: Iterable, hodge: bool = False) -> Iterator:
         if lost or before:
             coeffs = {key: value for key, value in coeffs.items() if value}
         before = now
-        yield BiPolynomial._raw(coeffs) if hodge else IntPolynomial._raw(coeffs, "t")
+        yield BiPolynomial._raw(coeffs) if hodge else IntPolynomial._raw(coeffs)
 
 
 def key_identity_sides(m: int) -> tuple:
@@ -134,8 +134,8 @@ def key_identity_sides(m: int) -> tuple:
     """
     if m < 1:
         raise ValueError(f"the identity is stated for m >= 1, got {m}")
-    lhs = IntPolynomial._raw(_bracket(m), "x")
-    rhs = IntPolynomial.geometric(m, var="x") * IntPolynomial.geometric(2 * m, step=2, var="x")
+    lhs = IntPolynomial._raw(_bracket(m))
+    rhs = IntPolynomial.geometric(m) * IntPolynomial.geometric(2 * m, step=2)
     return lhs, rhs
 
 

@@ -234,7 +234,7 @@ def mutated_identity_lhs(m: int) -> IntPolynomial:
                 coeffs[e] = coeffs.get(e, 0) + 1
     for c in range(0, m + 1):
         coeffs[m + c] = coeffs.get(m + c, 0) + 1
-    return IntPolynomial(coeffs, var="x")
+    return IntPolynomial(coeffs)
 
 
 # --- independent termwise oracle for the reindexed bracket --------------------
@@ -340,7 +340,7 @@ def reference_poincare(motive: MotiveClass) -> IntPolynomial:
     constructor, which drops any zero coefficient."""
     g = motive.genus
     return IntPolynomial(
-        [(b + 2 * c, mult * comb(2 * g, b)) for (b, c), mult in motive.items()], var="t"
+        [(b + 2 * c, mult * comb(2 * g, b)) for (b, c), mult in motive.items()]
     )
 
 
@@ -370,9 +370,10 @@ def reference_tensor(a: MotiveClass, b: MotiveClass) -> MotiveClass:
 
 # --- reference polynomial printers --------------------------------------------
 
-def reference_int_str(poly: IntPolynomial) -> str:
-    """'1 - t^2 + 4t^3': ascending exponent, a unit coefficient left out
-    before a variable, the sign of the first term written without a space."""
+def reference_int_str(poly: IntPolynomial, var: str = "t") -> str:
+    """'1 - t^2 + 4t^3' in the variable ``var``: ascending exponent, a unit
+    coefficient left out before a variable, the sign of the first term
+    written without a space."""
     pieces = []
     for e, c in poly.items():
         magnitude = abs(c)
@@ -380,7 +381,7 @@ def reference_int_str(poly: IntPolynomial) -> str:
             body = str(magnitude)
         else:
             head = "" if magnitude == 1 else str(magnitude)
-            body = head + (poly.var if e == 1 else f"{poly.var}^{e}")
+            body = head + (var if e == 1 else f"{var}^{e}")
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

@@ -72,6 +72,15 @@ def test_eval_evaluation_error_exits_3(capsys):
     assert "h1 * h1" in err
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(genus):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "block_decomposition_report", exhausted)
+    code, out, err = run(capsys, "decompose", "--genus", "2")
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 def test_eval_low_genus_usage_error(capsys):
     code, _, err = run(capsys, "eval", "--genus", "1", "M")
     assert code == 2
@@ -552,6 +561,9 @@ VALIDATION_ERRORS = {
     # argparse's own errors
     ("eval", "--genus", "2", "-L"):
         "curvemotives eval: error: the following arguments are required: expr",
+    # an expression that starts with '-' follows '--'; it then fails to parse
+    ("eval", "--genus", "2", "--", "-L"):
+        "error: parse error at byte offset 1: unexpected character '-'",
     ("eval", "M"): "curvemotives eval: error: the following arguments are required: --genus",
     ("hodge", "--genus", "two", "M"):
         "curvemotives hodge: error: argument --genus: invalid int value: 'two'",

@@ -157,7 +157,8 @@ def test_sym_power_total_dimension(genus):
             for b in range(0, min(n, 2 * genus) + 1)
             for _ in range(0, n - b + 1)
         )
-        assert poincare_polynomial(sym_power_curve(n, genus))(1) == expected
+        poly = poincare_polynomial(sym_power_curve(n, genus))
+        assert sum(coeff for _, coeff in poly.items()) == expected
 
 
 @pytest.mark.parametrize("m", range(-3, 151))

@@ -199,14 +199,14 @@ def test_poincare_duality_for_moduli(genus):
 
 def test_identity_sides_m_one():
     lhs, rhs = key_identity_sides(1)
-    expected = IntPolynomial({0: 1, 1: 1, 2: 1, 3: 1}, var="x")
+    expected = IntPolynomial({0: 1, 1: 1, 2: 1, 3: 1})
     assert lhs == expected
     assert rhs == expected
 
 
 def test_identity_sides_m_two():
     lhs, rhs = key_identity_sides(2)
-    product = IntPolynomial.geometric(2, var="x") * IntPolynomial.geometric(4, step=2, var="x")
+    product = IntPolynomial.geometric(2) * IntPolynomial.geometric(4, step=2)
     assert lhs == product
     assert rhs == product
 
