@@ -17,11 +17,13 @@ one adder per realization (``_betti_rows``, ``_hodge_rows``), is the only
 code that turns motive terms into polynomial terms.
 
 Two oracles that never touch the motive algebra validate the theorem-level
-constructors: the Atiyah-Bott closed form for the Poincare polynomial of
-the moduli space (exact long division, zero remainder required) and
-Macdonald's generating function for symmetric powers of the curve
-(Macdonald, Topology 1, 1962), expanded by the three-term recurrence that
-its denominator gives.  Agreement with the realized motives is evidence,
+constructors, and both work on coefficients and binomials: the Atiyah-Bott
+closed form for the Poincare polynomial of the moduli space, whose
+numerator is expanded by the binomial theorem and divided exactly (zero
+remainder required), and Macdonald's generating function for symmetric
+powers of the curve (Macdonald, Topology 1, 1962), expanded by the
+three-term recurrence that its denominator gives, as shift-and-add on
+dense coefficient lists.  Agreement with the realized motives is evidence,
 not tautology.
 """
 
@@ -148,19 +150,24 @@ def verify_key_identity(m: int) -> bool:
 def atiyah_bott_oracle(genus: int) -> IntPolynomial:
     """Poincare polynomial of the moduli space from the classical closed form
 
-        ((1+t^3)^2g - t^2g (1+t)^2g) / ((1-t^2)(1-t^4)),
+        ((1+t^3)^2g - t^2g (1+t)^2g) / ((1-t^2)(1-t^4)).
 
-    computed by expanding both numerator and denominator and dividing
-    exactly.  A nonzero remainder would mean a transcription bug.
+    The numerator is expanded by the binomial theorem, as
+    sum_i C(2g, i) t^(3i) - sum_i C(2g, i) t^(2g+i), and divided exactly by
+    the expanded denominator 1 - t^2 - t^4 + t^6.  A nonzero remainder would
+    mean a transcription bug: ArithmeticError names its lowest-degree term.
     """
     _check_genus(genus)
-    t = IntPolynomial.monomial(1)
-    one = IntPolynomial.one()
-    numerator = (one + t**3) ** (2 * genus) - t ** (2 * genus) * (one + t) ** (2 * genus)
-    denominator = (one - t**2) * (one - t**4)
-    quotient, remainder = divmod(numerator, denominator)
+    top = 2 * genus
+    cubes = IntPolynomial._raw({3 * i: comb(top, i) for i in range(top + 1)})
+    shifted = IntPolynomial._raw({top + i: comb(top, i) for i in range(top + 1)})
+    denominator = IntPolynomial._raw({0: 1, 2: -1, 4: -1, 6: 1})
+    quotient, remainder = divmod(cubes - shifted, denominator)
     if not remainder.is_zero:
-        raise ArithmeticError(f"division left a remainder at genus {genus}: {remainder}")
+        degree, coeff = remainder.items()[0]
+        raise ArithmeticError(
+            f"division left a remainder at genus {genus}: lowest term {coeff} in degree {degree}"
+        )
     return quotient
 
 
@@ -175,21 +182,27 @@ def macdonald_series(genus: int, order: int) -> list:
 
         f_n = (1+t^2) f_(n-1) - t^2 f_(n-2) + C(2g, n) t^n,
 
-    with f_(-1) = f_(-2) = 0 and C(2g, n) = 0 for n > 2g (``math.comb``
-    returns 0 there), so one pass yields the whole prefix.  Only
-    IntPolynomial arithmetic and binomials are used, never the motive
-    algebra.  Raises ValueError for a genus below 2 or an order below 0.
+    with f_(-1) = 0 and C(2g, n) = 0 for n > 2g (``math.comb`` returns 0
+    there), so one pass yields the whole prefix.  Each f_n is a dense list
+    of its coefficients in degrees 0..2n, made by shift-and-add from the
+    two before it; only binomials are used, never the motive algebra.
+    Raises ValueError for a genus below 2 or an order below 0.
     """
     _check_genus(genus)
     if order < 0:
         raise ValueError(f"symmetric power must be >= 0, got {order}")
-    t2 = IntPolynomial.monomial(2)
-    one_plus_t2 = IntPolynomial.one() + t2
-    series: list = []
-    prev2 = prev = IntPolynomial.zero()
-    for n in range(order + 1):
-        current = one_plus_t2 * prev - t2 * prev2 + IntPolynomial.monomial(n, comb(2 * genus, n))
-        series.append(current)
+    top = 2 * genus
+    pad = [0, 0]
+    prev2: list = []
+    prev = [1]  # f_0
+    series = [IntPolynomial._raw({0: 1})]
+    for n in range(1, order + 1):
+        # f_(n-1), t^2 f_(n-1) and t^2 f_(n-2) in degrees 0..2n; zip stops at 2n
+        current = [a + b - c for a, b, c in zip(prev + pad, pad + prev, pad + prev2 + pad)]
+        current[n] += comb(top, n)
+        # every coefficient of degree 0..2n is positive (C(2g, 1) t reaches
+        # the odd degrees), so the dict is zero-free
+        series.append(IntPolynomial._raw(dict(enumerate(current))))
         prev2, prev = prev, current
     return series
 

@@ -296,6 +296,20 @@ def _convolve_truncated(a: list, b: list, order: int) -> list:
     return out
 
 
+# --- generic-product reference for the Atiyah-Bott oracle ----------------------
+
+def reference_atiyah_bott(genus: int) -> IntPolynomial:
+    """((1+t^3)^2g - t^2g (1+t)^2g) / ((1-t^2)(1-t^4)) with every factor
+    formed by IntPolynomial powers and products, then divided by ``divmod``;
+    the remainder must be zero."""
+    t = IntPolynomial.monomial(1)
+    one = IntPolynomial.one()
+    numerator = (one + t**3) ** (2 * genus) - t ** (2 * genus) * (one + t) ** (2 * genus)
+    quotient, remainder = divmod(numerator, (one - t**2) * (one - t**4))
+    assert remainder.is_zero
+    return quotient
+
+
 # --- independent Hodge-level oracles (BiPolynomial and math.comb only) ---------
 
 def _binomial_power(genus: int, du: int, dv: int) -> BiPolynomial:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import hypothesis.strategies as st
 import pytest
@@ -24,7 +25,7 @@ from curvemotives import (
     tensor,
     verify_key_identity,
 )
-from curvemotives import realization
+from curvemotives import cli, realization
 from curvemotives.realization import _realize_in_order
 from curvemotives.polynomials import BiPolynomial, IntPolynomial
 from helpers import (
@@ -34,6 +35,7 @@ from helpers import (
     motive_pairs,
     motives,
     mutated_identity_lhs,
+    reference_atiyah_bott,
     reference_hodge,
     reference_poincare,
     truncated_macdonald,
@@ -253,6 +255,26 @@ def test_atiyah_bott_degree(genus):
 @pytest.mark.parametrize("genus", range(2, 11))
 def test_atiyah_bott_matches_moduli_realization(genus):
     assert atiyah_bott_oracle(genus) == poincare_polynomial(moduli_motive_delbano(genus))
+
+
+@pytest.mark.parametrize("genus", range(2, 31))
+def test_atiyah_bott_matches_generic_products(genus):
+    assert atiyah_bott_oracle(genus) == reference_atiyah_bott(genus)
+
+
+def test_atiyah_bott_remainder_raises(monkeypatch, capsys):
+    # C(6, 2) = 18 in place of 15 adds 3t^6 - 3t^8 to the genus-3 numerator,
+    # which leaves 3t^2 - 3t^4 over (1-t^2)(1-t^4) = 1 - t^2 - t^4 + t^6
+    def wrong_comb(n, k):
+        return math.comb(n, k) + 3 * ((n, k) == (6, 2))
+
+    monkeypatch.setattr(realization, "comb", wrong_comb)
+    message = "division left a remainder at genus 3: lowest term 3 in degree 2"
+    with pytest.raises(ArithmeticError, match=f"^{message}$"):
+        atiyah_bott_oracle(3)
+    code = cli.main(["verify-theorem", "--genus", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
 
 
 def test_macdonald_constant_coefficient():
