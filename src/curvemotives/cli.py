@@ -7,7 +7,10 @@ Exit codes: 0 success / all checks pass, 1 a checked statement is false,
 
 Output is deterministic: every command computes its results serially in
 ascending parameter order, so identical inputs produce byte-identical
-output.  --jobs is accepted and validated but changes nothing.
+output.  --jobs is accepted and validated but changes nothing.  decompose
+makes, renders and writes one genus at a time, so a range needs the memory
+of its largest genus; a range that fails partway leaves the earlier genera
+written, and --out is opened only when the first genus is rendered.
 
 Each subcommand is one row of ``_COMMANDS`` (name, help, handler, arguments),
 from which ``build_parser`` makes its subparser.  ``main`` runs ``_check``, the
@@ -55,28 +58,42 @@ DEFAULT_M_MIN = 1
 DEFAULT_M_MAX = 100
 
 
-def _render(args: argparse.Namespace, text, obj, header, rows) -> None:
-    """Write a result to stdout, or to ``--out PATH``, in ``--format``.
+def _render(args: argparse.Namespace, results, text, obj, header, rows, many=False) -> None:
+    """Write ``results`` to stdout, or to ``--out PATH``, in ``--format``,
+    one write per result as it is made.
 
-    ``text`` returns the text without its final newline, ``obj`` the value
-    for one compact JSON line and ``rows`` the CSV rows under ``header``.
-    The three are callables and only the one for the requested format runs.
+    ``text`` maps a result to its text without the final newline, ``obj`` to
+    the value of its compact JSON and ``rows`` to its CSV rows under
+    ``header``; only the one for the requested format runs.  ``many`` results
+    print as texts joined by a blank line, one JSON list or one CSV table.
+    ``results`` may be lazy: each is rendered, written and dropped before the
+    next is made, and nothing is written, nor ``--out`` opened, before the
+    first is rendered.
     """
     if args.format == "text":
-        payload = text() + "\n"
+        head, sep, tail, piece = "", "\n\n", "\n", text
     elif args.format == "json":
-        payload = json.dumps(obj(), separators=(",", ":")) + "\n"
+        head, sep, tail = ("[", ",", "]\n") if many else ("", "", "\n")
+        piece = lambda result: json.dumps(obj(result), separators=(",", ":"))
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows())
-        payload = buffer.getvalue()
-    if args.out is None:
-        sys.stdout.write(payload)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        head, sep, tail = _csv_text((header,)), "", ""
+        piece = lambda result: _csv_text(rows(result))
+    handle = None
+    try:
+        for index, chunk in enumerate(map(piece, results)):  # map keeps no result
+            if handle is None:
+                handle = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
+            handle.write((sep if index else head) + chunk)
+        handle.write(tail)
+    finally:
+        if handle is not None and args.out is not None:
+            handle.close()
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 # --- eval -----------------------------------------------------------------
@@ -85,10 +102,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     motive = dsl.evaluate(dsl.parse(args.expr), args.genus)
     _render(
         args,
-        text=lambda: str(motive),
-        obj=motive.to_dict,
+        (motive,),
+        text=str,
+        obj=MotiveClass.to_dict,
         header=("lambda", "lefschetz", "mult"),
-        rows=lambda: (
+        rows=lambda motive: (
             (key.lambda_index, key.lefschetz_power, str(mult)) for key, mult in motive.items()
         ),
     )
@@ -128,8 +146,9 @@ def cmd_equal(args: argparse.Namespace) -> int:
     all_equal = all(not diff for _, diff in results)
     _render(
         args,
-        text=lambda: "EQUAL" if all_equal else _not_equal_text(results),
-        obj=lambda: {
+        (results,),
+        text=lambda results: "EQUAL" if all_equal else _not_equal_text(results),
+        obj=lambda results: {
             "equal": all_equal,
             "results": [
                 {
@@ -149,7 +168,7 @@ def cmd_equal(args: argparse.Namespace) -> int:
             ],
         },
         header=("genus", "equal"),
-        rows=lambda: ((genus, str(not diff).lower()) for genus, diff in results),
+        rows=lambda results: ((genus, str(not diff).lower()) for genus, diff in results),
     )
     return EXIT_OK if all_equal else EXIT_FALSE
 
@@ -200,8 +219,9 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     ]
     _render(
         args,
-        text=lambda: _verify_text(results, failure, lo, hi),
-        obj=lambda: {
+        (results,),
+        text=lambda results: _verify_text(results, failure, lo, hi),
+        obj=lambda results: {
             "genus_min": lo,
             "genus_max": hi,
             "results": [{"genus": genus, "checks": checks} for genus, checks in results],
@@ -209,7 +229,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
             "first_failure": failure,
         },
         header=("genus", "check", "result"),
-        rows=lambda: (
+        rows=lambda results: (
             (genus, name, verdict) for genus, checks in results for name, verdict in checks.items()
         ),
     )
@@ -236,8 +256,9 @@ def cmd_identity(args: argparse.Namespace) -> int:
     first_bad = next((m for m, _, _, ok in results if not ok), None)
     _render(
         args,
-        text=lambda: _identity_text(results, first_bad, args.m_min, args.m_max),
-        obj=lambda: {
+        (results,),
+        text=lambda results: _identity_text(results, first_bad, args.m_min, args.m_max),
+        obj=lambda results: {
             "m_min": args.m_min,
             "m_max": args.m_max,
             "results": [
@@ -247,7 +268,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
             "all_pass": first_bad is None,
         },
         header=("m", "ok"),
-        rows=lambda: ((m, str(ok).lower()) for m, _, _, ok in results),
+        rows=lambda results: ((m, str(ok).lower()) for m, _, _, ok in results),
     )
     return EXIT_OK if first_bad is None else EXIT_FALSE
 
@@ -258,13 +279,14 @@ def cmd_poincare(args: argparse.Namespace) -> int:
     poly = poincare_polynomial(dsl.evaluate(dsl.parse(args.expr), args.genus))
     _render(
         args,
-        text=lambda: str(poly),
-        obj=lambda: {
+        (poly,),
+        text=str,
+        obj=lambda poly: {
             "variable": "t",
             "terms": [[degree, str(coeff)] for degree, coeff in poly.items()],
         },
         header=("degree", "coeff"),
-        rows=lambda: ((degree, str(coeff)) for degree, coeff in poly.items()),
+        rows=lambda poly: ((degree, str(coeff)) for degree, coeff in poly.items()),
     )
     return EXIT_OK
 
@@ -283,10 +305,11 @@ def cmd_hodge(args: argparse.Namespace) -> int:
     poly = hodge_polynomial(dsl.evaluate(dsl.parse(args.expr), args.genus))
     _render(
         args,
-        text=lambda: render_hodge_diamond(poly) if args.diamond else str(poly),
-        obj=lambda: _hodge_obj(poly, args.diamond),
+        (poly,),
+        text=render_hodge_diamond if args.diamond else str,
+        obj=lambda poly: _hodge_obj(poly, args.diamond),
         header=("p", "q", "coeff"),
-        rows=lambda: ((p, q, str(coeff)) for (p, q), coeff in poly.items()),
+        rows=lambda poly: ((p, q, str(coeff)) for (p, q), coeff in poly.items()),
     )
     return EXIT_OK
 
@@ -309,18 +332,18 @@ def _block_table(report) -> str:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     lo, hi = args.genus_min, args.genus_max
-    reports = [block_decomposition_report(genus) for genus in range(lo, hi + 1)]
     _render(
         args,
-        text=lambda: "\n\n".join(_block_table(report) for report in reports),
-        obj=lambda: reports[0].to_dict() if lo == hi else [r.to_dict() for r in reports],
+        (block_decomposition_report(genus) for genus in range(lo, hi + 1)),
+        text=_block_table,
+        obj=lambda report: report.to_dict(),
         header=("genus", "sym_power", "twist", "p", "q", "coeff"),
-        rows=lambda: (
+        rows=lambda report: (
             (report.genus, block.sym_power, block.twist, p, q, str(coeff))
-            for report in reports
             for block in report.blocks
             for (p, q), coeff in block.hodge.items()
         ),
+        many=lo != hi,
     )
     return EXIT_OK
 

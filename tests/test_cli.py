@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -447,6 +448,75 @@ def test_out_file_matches_golden_stdout(tmp_path, capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(target))
     assert (code, out, err) == (expected_code, "", "")
     assert _sha256(target.read_text(encoding="utf-8")) == digests[fmt]
+
+
+
+# decompose makes, renders and writes one genus at a time
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_decompose_range_peaks_below_twice_its_last_genus(tmp_path, fmt):
+    def peak(*argv):
+        formulas.sym_power_curve.cache_clear()
+        tracemalloc.start()
+        try:
+            code = main(["decompose", *argv, "--format", fmt, "--out", str(tmp_path / "out")])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    code, range_peak = peak("--genus-min", "2", "--genus-max", "24")
+    single_code, single_peak = peak("--genus", "24")
+    assert (code, single_code) == (0, 0)
+    assert range_peak < 2 * single_peak, (range_peak, single_peak)
+
+
+class _CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_decompose_writes_once_per_genus(fmt):
+    stdout = _CountingStdout()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["decompose", "--genus-min", "2", "--genus-max", "6", "--format", fmt])
+    assert code == 0
+    assert 1 <= stdout.writes <= 5 + 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_decompose_out_of_memory_mid_range_keeps_the_earlier_genera(capsys, monkeypatch, fmt):
+    _, full, _ = run(capsys, "decompose", "--genus-min", "2", "--genus-max", "5", "--format", fmt)
+    _, first_two, _ = run(capsys, "decompose", "--genus-min", "2", "--genus-max", "3", "--format", fmt)
+    report = cli.block_decomposition_report
+
+    def exhausted_at_4(genus):
+        if genus == 4:
+            raise MemoryError
+        return report(genus)
+
+    monkeypatch.setattr(cli, "block_decomposition_report", exhausted_at_4)
+    code, out, err = run(capsys, "decompose", "--genus-min", "2", "--genus-max", "5", "--format", fmt)
+    assert (code, err) == (3, "error: out of memory\n")
+    assert full.startswith(out)
+    assert out == first_two.removesuffix({"text": "\n", "json": "]\n", "csv": ""}[fmt])
+
+
+def test_decompose_failing_at_its_first_genus_leaves_out_untouched(tmp_path, capsys, monkeypatch):
+    def exhausted(genus):
+        raise MemoryError
+
+    target = tmp_path / "result.txt"
+    target.write_text("an earlier result\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "block_decomposition_report", exhausted)
+    code, out, err = run(capsys, "decompose", "--genus-min", "2", "--genus-max", "5",
+                         "--out", str(target))
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+    assert target.read_text(encoding="utf-8") == "an earlier result\n"
 
 
 def test_one_parser_serves_a_sequence_of_calls(capsys):
