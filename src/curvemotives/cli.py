@@ -11,6 +11,8 @@ output.  --jobs is accepted and validated but changes nothing.  decompose
 makes, renders and writes one genus at a time, so a range needs the memory
 of its largest genus; a range that fails partway leaves the earlier genera
 written, and --out is opened only when the first genus is rendered.
+verify-theorem builds and checks one genus at a time and keeps only its
+verdicts, so a sweep, like decompose, needs the memory of its largest genus.
 
 Each subcommand is one row of ``_COMMANDS`` (name, help, handler, arguments),
 from which ``build_parser`` makes its subparser.  ``main`` runs ``_check``, the
@@ -29,12 +31,7 @@ import sys
 
 from . import dsl
 from .core import MotiveClass
-from .formulas import (
-    moduli_motive_conjectural,
-    moduli_motive_delbano,
-    proof_chain_check,
-    sym_power_curve,
-)
+from .formulas import _conjectural, _delbano, _proof_chain, sym_power_curve
 from .realization import (
     _realize_in_order,
     atiyah_bott_oracle,
@@ -178,14 +175,17 @@ def cmd_equal(args: argparse.Namespace) -> int:
 def _verify_genus(genus: int) -> dict:
     """The four checks at one genus, in the order main_equality, proof_chain,
     atiyah_bott, macdonald, each mapped to "pass" or else to its first
-    failing index (None for the two checks that have no index)."""
-    delbano = moduli_motive_delbano(genus)
+    failing index (None for the two checks that have no index).  Both forms
+    are built here, once, and not cached, so a sweep holds one genus; the
+    symmetric-power form builds its own powers, apart from the ones the
+    Macdonald check realizes, so a wrong Sym^n fails only that check."""
+    delbano, conjectural = _delbano(genus), _conjectural(genus)
     series = macdonald_series(genus, 2 * genus)
     powers = _realize_in_order(sym_power_curve(n, genus) for n in range(2 * genus + 1))
     return {
-        "main_equality": "pass" if delbano == moduli_motive_conjectural(genus) else None,
+        "main_equality": "pass" if delbano == conjectural else None,
         "proof_chain": next(
-            (i for i in range(genus + 1) if not proof_chain_check(genus, i)), "pass"
+            (i for i in range(genus + 1) if not _proof_chain(delbano, conjectural, i)), "pass"
         ),
         "atiyah_bott": "pass" if atiyah_bott_oracle(genus) == poincare_polynomial(delbano) else None,
         "macdonald": next((n for n, power in enumerate(powers) if power != series[n]), "pass"),

@@ -57,7 +57,7 @@ def _bracket(m: int) -> dict:
     return {e: n for e, n in enumerate(accumulate(marks)) if n}
 
 
-@lru_cache(maxsize=128)  # holds all 2g + 1 powers of one genus, g <= 63, which the checks reuse
+@lru_cache(maxsize=0)  # caches nothing, so a sweep holds one genus; keeps cache_info/cache_clear
 def sym_power_curve(n: int, genus: int) -> MotiveClass:
     """Motive of the n-th symmetric power of the curve.
 
@@ -71,9 +71,20 @@ def sym_power_curve(n: int, genus: int) -> MotiveClass:
     return MotiveClass._from_rows(genus, rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # bounded, and still covers genus 2..30 of a long-lived session
 def moduli_motive_delbano(genus: int) -> MotiveClass:
     """del Bano's closed form for the moduli motive at the given genus."""
+    return _delbano(genus)
+
+
+@lru_cache(maxsize=32)
+def moduli_motive_conjectural(genus: int) -> MotiveClass:
+    """Symmetric-power decomposition of the moduli motive."""
+    return _conjectural(genus)
+
+
+def _delbano(genus: int) -> MotiveClass:
+    """del Bano's form, built anew on every call."""
     _check_genus(genus)
     return direct_sum(*(  # lam^k h1 (x) (1 + .. + L^(g-k-1)) (x) (1 + .. + L^(2g-2k-2)) (x) L^k
         tensor(
@@ -85,9 +96,8 @@ def moduli_motive_delbano(genus: int) -> MotiveClass:
     ))
 
 
-@lru_cache(maxsize=None)
-def moduli_motive_conjectural(genus: int) -> MotiveClass:
-    """Symmetric-power decomposition of the moduli motive."""
+def _conjectural(genus: int) -> MotiveClass:
+    """The symmetric-power form, built anew on every call."""
     _check_genus(genus)
     return direct_sum(*(
         tensor(sym_power_curve(k, genus), _tate(genus, dict.fromkeys(twists, 1)))  # distinct twists
@@ -121,7 +131,13 @@ def proof_chain_check(genus: int, index: int) -> bool:
     _check_genus(genus)
     if not 0 <= index <= genus:
         raise ValueError(f"lambda index must satisfy 0 <= i <= g, got i={index}, g={genus}")
-    target = lambda_coefficient(moduli_motive_delbano(genus), index)
-    direct = lambda_coefficient(moduli_motive_conjectural(genus), index)
+    return _proof_chain(moduli_motive_delbano(genus), moduli_motive_conjectural(genus), index)
+
+
+def _proof_chain(delbano: MotiveClass, conjectural: MotiveClass, index: int) -> bool:
+    """``proof_chain_check`` at lam^index, given both forms of one genus."""
+    genus = delbano.genus
+    target = lambda_coefficient(delbano, index)
+    direct = lambda_coefficient(conjectural, index)
     reduced = tensor(lefschetz(genus, index), _tate(genus, _bracket(genus - 1 - index)))
     return direct == target and reduced == target

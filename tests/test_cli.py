@@ -160,6 +160,19 @@ def test_verify_theorem_reports_an_altered_symmetric_power(capsys, monkeypatch, 
         assert (code, json.loads(out)["first_failure"]) == (1, failure), (b, kind)
 
 
+@pytest.mark.parametrize("kind", ALTERATIONS)
+def test_verify_theorem_reports_an_altered_symmetric_power_form(capsys, monkeypatch, kind):
+    """At genus 3, the symmetric-power form gains, loses or reweights one
+    term, in each of its rows in turn: the first failure is the main equality."""
+    motive = formulas.moduli_motive_conjectural(3)
+    for b in altered_rows(motive, kind):
+        altered = altered_motive(motive, b, kind)
+        monkeypatch.setattr(cli, "_conjectural", lambda genus: altered)
+        code, out, _ = run(capsys, "verify-theorem", "--genus", "3", "--json")
+        failure = {"genus": 3, "check": "main_equality", "index": None}
+        assert (code, json.loads(out)["first_failure"]) == (1, failure), (b, kind)
+
+
 def test_identity_single_m_shows_both_sides(capsys):
     code, out, _ = run(capsys, "identity", "--m-min", "1", "--m-max", "1")
     assert code == 0
@@ -451,22 +464,36 @@ def test_out_file_matches_golden_stdout(tmp_path, capsys, argv, fmt):
 
 
 
-# decompose makes, renders and writes one genus at a time
+# decompose and verify-theorem make, check or render one genus at a time
+
+
+def _peak(tmp_path, *argv) -> tuple:
+    """Exit code and tracemalloc peak of ``main(argv)``, written to a file,
+    from cleared caches."""
+    for cache in (formulas.sym_power_curve, formulas.moduli_motive_delbano,
+                  formulas.moduli_motive_conjectural):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_decompose_range_peaks_below_twice_its_last_genus(tmp_path, fmt):
-    def peak(*argv):
-        formulas.sym_power_curve.cache_clear()
-        tracemalloc.start()
-        try:
-            code = main(["decompose", *argv, "--format", fmt, "--out", str(tmp_path / "out")])
-            return code, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # in fact below 1.5 times: sym_power_curve keeps no powers of earlier genera
+    code, range_peak = _peak(tmp_path, "decompose", "--genus-min", "2", "--genus-max", "24",
+                             "--format", fmt)
+    single_code, single_peak = _peak(tmp_path, "decompose", "--genus", "24", "--format", fmt)
+    assert (code, single_code) == (0, 0)
+    assert range_peak < 1.5 * single_peak, (range_peak, single_peak)
 
-    code, range_peak = peak("--genus-min", "2", "--genus-max", "24")
-    single_code, single_peak = peak("--genus", "24")
+
+def test_verify_theorem_range_peaks_below_twice_its_last_genus(tmp_path):
+    code, range_peak = _peak(tmp_path, "verify-theorem", "--genus-min", "2", "--genus-max", "24")
+    single_code, single_peak = _peak(tmp_path, "verify-theorem", "--genus", "24")
     assert (code, single_code) == (0, 0)
     assert range_peak < 2 * single_peak, (range_peak, single_peak)
 

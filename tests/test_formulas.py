@@ -5,18 +5,20 @@ from curvemotives import (
     BasisKey,
     MotiveClass,
     direct_sum,
+    evaluate,
     lambda_coefficient,
     lambda_h1,
     lefschetz,
     moduli_motive_conjectural,
     moduli_motive_delbano,
+    parse,
     proof_chain_check,
     sym_power_curve,
     tensor,
     unit,
     zero,
 )
-from curvemotives.formulas import _bracket
+from curvemotives.formulas import _bracket, _conjectural, _delbano, _proof_chain
 from helpers import brute_force_sym_terms, motives, mutated_conjectural, termwise_bracket
 
 # hand expansion at genus 2: 1 + L + h1*L + L^2 + L^3
@@ -46,15 +48,18 @@ def test_sym_power_matches_triple_enumeration(genus):
         assert all(type(key) is BasisKey for key, _ in motive.items())
 
 
-def test_sym_power_cache_is_bounded():
-    # unbounded, it kept every Sym^n of every genus seen: about 200 MiB over genus 31..60
-    sym_power_curve.cache_clear()
-    for genus in range(2, 12):
-        for n in range(2 * genus + 1):
-            sym_power_curve(n, genus)
-    info = sym_power_curve.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize < info.misses
-    assert sym_power_curve(2 * 11, 11) is sym_power_curve(2 * 11, 11)  # the last genus stays
+def test_formulas_caches_are_bounded():
+    # unbounded, the moduli caches kept every genus a long-lived session had seen
+    moduli_motive_delbano.cache_clear()
+    moduli_motive_conjectural.cache_clear()
+    expression = parse("M + Mconj")
+    for genus in range(2, 41):
+        evaluate(expression, genus)
+    for cache in (moduli_motive_delbano, moduli_motive_conjectural):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < info.misses
+        assert cache(40) is cache(40)  # the last genus stays
+    assert sym_power_curve.cache_info().currsize == 0
 
 
 def test_sym_power_negative_rejected():
@@ -136,6 +141,16 @@ def test_proof_chain_genus_two():
 @pytest.mark.parametrize("genus", range(2, 11))
 def test_proof_chain_small_range(genus):
     assert all(proof_chain_check(genus, i) for i in range(0, genus + 1))
+
+
+@pytest.mark.parametrize("genus", range(2, 13))
+def test_proof_chain_step_checks_the_forms_it_is_given(genus):
+    delbano, conjectural = _delbano(genus), _conjectural(genus)
+    indices = range(genus + 1)
+    assert [_proof_chain(delbano, conjectural, i) for i in indices] == [
+        proof_chain_check(genus, i) for i in indices
+    ]
+    assert not all(_proof_chain(delbano, mutated_conjectural(genus), i) for i in indices)
 
 
 def test_proof_chain_index_bounds():
