@@ -33,6 +33,7 @@ from . import dsl
 from .core import MotiveClass
 from .formulas import _conjectural, _delbano, _proof_chain, sym_power_curve
 from .realization import (
+    BlockReport,
     _realize_in_order,
     atiyah_bott_oracle,
     block_decomposition_report,
@@ -55,13 +56,15 @@ DEFAULT_M_MIN = 1
 DEFAULT_M_MAX = 100
 
 
-def _render(args: argparse.Namespace, results, text, obj, header, rows, many=False) -> None:
+def _render(args: argparse.Namespace, results, text, json_text, header, rows, many=False) -> None:
     """Write ``results`` to stdout, or to ``--out PATH``, in ``--format``,
     one write per result as it is made.
 
-    ``text`` maps a result to its text without the final newline, ``obj`` to
-    the value of its compact JSON and ``rows`` to its CSV rows under
-    ``header``; only the one for the requested format runs.  ``many`` results
+    ``text`` maps a result to its text without the final newline,
+    ``json_text`` to its compact JSON text (``_compact`` of a value, or a
+    serializer such as ``BlockReport.to_json`` that writes the text without
+    building the value) and ``rows`` to its CSV rows under ``header``; only
+    the one for the requested format runs.  ``many`` results
     print as texts joined by a blank line, one JSON list or one CSV table.
     ``results`` may be lazy: each is rendered, written and dropped before the
     next is made, and nothing is written, nor ``--out`` opened, before the
@@ -71,7 +74,7 @@ def _render(args: argparse.Namespace, results, text, obj, header, rows, many=Fal
         head, sep, tail, piece = "", "\n\n", "\n", text
     elif args.format == "json":
         head, sep, tail = ("[", ",", "]\n") if many else ("", "", "\n")
-        piece = lambda result: json.dumps(obj(result), separators=(",", ":"))
+        piece = json_text
     else:
         head, sep, tail = _csv_text((header,)), "", ""
         piece = lambda result: _csv_text(rows(result))
@@ -85,6 +88,11 @@ def _render(args: argparse.Namespace, results, text, obj, header, rows, many=Fal
     finally:
         if handle is not None and args.out is not None:
             handle.close()
+
+
+def _compact(value) -> str:
+    """``value`` as compact JSON text."""
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _csv_text(rows) -> str:
@@ -101,7 +109,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         args,
         (motive,),
         text=str,
-        obj=MotiveClass.to_dict,
+        json_text=MotiveClass.to_json,
         header=("lambda", "lefschetz", "mult"),
         rows=lambda motive: (
             (key.lambda_index, key.lefschetz_power, str(mult)) for key, mult in motive.items()
@@ -113,6 +121,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # --- equal ----------------------------------------------------------------
 
 def _diff_terms(a: MotiveClass, b: MotiveClass) -> list:
+    if a == b:  # the common case, compared without listing terms
+        return []
     left, right = dict(a.items()), dict(b.items())
     return [
         (key, left.get(key, 0), right.get(key, 0))
@@ -145,7 +155,7 @@ def cmd_equal(args: argparse.Namespace) -> int:
         args,
         (results,),
         text=lambda results: "EQUAL" if all_equal else _not_equal_text(results),
-        obj=lambda results: {
+        json_text=lambda results: _compact({
             "equal": all_equal,
             "results": [
                 {
@@ -163,7 +173,7 @@ def cmd_equal(args: argparse.Namespace) -> int:
                 }
                 for genus, diff in results
             ],
-        },
+        }),
         header=("genus", "equal"),
         rows=lambda results: ((genus, str(not diff).lower()) for genus, diff in results),
     )
@@ -221,13 +231,13 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
         args,
         (results,),
         text=lambda results: _verify_text(results, failure, lo, hi),
-        obj=lambda results: {
+        json_text=lambda results: _compact({
             "genus_min": lo,
             "genus_max": hi,
             "results": [{"genus": genus, "checks": checks} for genus, checks in results],
             "all_pass": failure is None,
             "first_failure": failure,
-        },
+        }),
         header=("genus", "check", "result"),
         rows=lambda results: (
             (genus, name, verdict) for genus, checks in results for name, verdict in checks.items()
@@ -258,7 +268,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
         args,
         (results,),
         text=lambda results: _identity_text(results, first_bad, args.m_min, args.m_max),
-        obj=lambda results: {
+        json_text=lambda results: _compact({
             "m_min": args.m_min,
             "m_max": args.m_max,
             "results": [
@@ -266,7 +276,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
                 for m, lhs, rhs, ok in results
             ],
             "all_pass": first_bad is None,
-        },
+        }),
         header=("m", "ok"),
         rows=lambda results: ((m, str(ok).lower()) for m, _, _, ok in results),
     )
@@ -281,10 +291,10 @@ def cmd_poincare(args: argparse.Namespace) -> int:
         args,
         (poly,),
         text=str,
-        obj=lambda poly: {
+        json_text=lambda poly: _compact({
             "variable": "t",
             "terms": [[degree, str(coeff)] for degree, coeff in poly.items()],
-        },
+        }),
         header=("degree", "coeff"),
         rows=lambda poly: ((degree, str(coeff)) for degree, coeff in poly.items()),
     )
@@ -307,7 +317,7 @@ def cmd_hodge(args: argparse.Namespace) -> int:
         args,
         (poly,),
         text=render_hodge_diamond if args.diamond else str,
-        obj=lambda poly: _hodge_obj(poly, args.diamond),
+        json_text=lambda poly: _compact(_hodge_obj(poly, args.diamond)),
         header=("p", "q", "coeff"),
         rows=lambda poly: ((p, q, str(coeff)) for (p, q), coeff in poly.items()),
     )
@@ -336,7 +346,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         args,
         (block_decomposition_report(genus) for genus in range(lo, hi + 1)),
         text=_block_table,
-        obj=lambda report: report.to_dict(),
+        json_text=BlockReport.to_json,  # looked up per call: a wrapper set on the class is used
         header=("genus", "sym_power", "twist", "p", "q", "coeff"),
         rows=lambda report: (
             (report.genus, block.sym_power, block.twist, p, q, str(coeff))

@@ -224,26 +224,24 @@ class HodgeBlock(namedtuple("HodgeBlock", "sym_power twist hodge")):
 class BlockReport(namedtuple("BlockReport", "genus blocks total")):
     """Per-block Hodge contributions at one genus, plus their sum."""
 
-    def to_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "blocks": [
-                {
-                    "sym_power": block.sym_power,
-                    "twist": block.twist,
-                    "hodge": _bipoly_triples(block.hodge),
-                }
-                for block in self.blocks
-            ],
-            "total": _bipoly_triples(self.total),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        """The report's compact JSON, written as text from each polynomial's
+        ``items()`` with no tree of lists,
+        ``{"genus":g,"blocks":[{"sym_power":k,"twist":t,"hodge":[[p,q,"c"],...]},...],"total":[...]}``;
+        every value is an int or the decimal string of one, so nothing needs escaping."""
+        blocks = ",".join(
+            f'{{"sym_power":{b.sym_power},"twist":{b.twist},"hodge":[{_terms_json(b.hodge)}]}}'
+            for b in self.blocks
+        )
+        return f'{{"genus":{self.genus},"blocks":[{blocks}],"total":[{_terms_json(self.total)}]}}'
+
+    def to_dict(self) -> dict:
+        """The value of :meth:`to_json`."""
+        return json.loads(self.to_json())
 
 
-def _bipoly_triples(poly: BiPolynomial) -> list:
-    return [[p, q, str(c)] for (p, q), c in poly.items()]
+def _terms_json(poly: BiPolynomial) -> str:
+    return ",".join(f'[{p},{q},"{c}"]' for (p, q), c in poly.items())
 
 
 def block_decomposition_report(genus: int) -> BlockReport:

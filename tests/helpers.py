@@ -382,6 +382,25 @@ def reference_tensor(a: MotiveClass, b: MotiveClass) -> MotiveClass:
     return MotiveClass(a.genus, terms)
 
 
+# --- reference serialization of a block report --------------------------------
+
+def reference_block_report_dict(report) -> dict:
+    """The value of a ``BlockReport``'s JSON, built as a tree of dicts and lists:
+    per block its sym_power, twist and ``[p, q, "c"]`` Hodge terms, then the
+    total's terms, each polynomial's terms in ``items()`` order."""
+    def triples(poly):
+        return [[p, q, str(c)] for (p, q), c in poly.items()]
+
+    return {
+        "genus": report.genus,
+        "blocks": [
+            {"sym_power": block.sym_power, "twist": block.twist, "hodge": triples(block.hodge)}
+            for block in report.blocks
+        ],
+        "total": triples(report.total),
+    }
+
+
 # --- reference polynomial printers --------------------------------------------
 
 def reference_int_str(poly: IntPolynomial, var: str = "t") -> str:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 
 from curvemotives import cli, formulas
 from curvemotives.cli import build_parser, main
+from curvemotives.core import MotiveClass
 from curvemotives.dsl import print_expr
 from helpers import ALTERATIONS, altered_motive, altered_rows, expressions
 
@@ -105,6 +106,15 @@ def test_equal_over_range(capsys):
     code, out, _ = run(capsys, "equal", "--genus-min", "2", "--genus-max", "6", "M", "Mconj")
     assert code == 0
     assert out == "EQUAL\n"
+
+
+def test_equal_motives_are_compared_without_listing_their_terms(capsys, monkeypatch):
+    def listed(self):
+        raise AssertionError("equal motives need no term list")
+
+    monkeypatch.setattr(MotiveClass, "items", listed)
+    code, out, _ = run(capsys, "equal", "--genus-min", "2", "--genus-max", "6", "M", "Mconj")
+    assert (code, out) == (0, "EQUAL\n")
 
 
 def test_equal_csv(capsys):
@@ -489,6 +499,14 @@ def test_decompose_range_peaks_below_twice_its_last_genus(tmp_path, fmt):
     single_code, single_peak = _peak(tmp_path, "decompose", "--genus", "24", "--format", fmt)
     assert (code, single_code) == (0, 0)
     assert range_peak < 1.5 * single_peak, (range_peak, single_peak)
+
+
+def test_decompose_json_peaks_below_its_text(tmp_path):
+    # BlockReport.to_json writes text: no list per Hodge term for json.dumps to walk
+    code, json_peak = _peak(tmp_path, "decompose", "--genus", "24", "--format", "json")
+    text_code, text_peak = _peak(tmp_path, "decompose", "--genus", "24", "--format", "text")
+    assert (code, text_code) == (0, 0)
+    assert json_peak < 1.25 * text_peak, (json_peak, text_peak)
 
 
 def test_verify_theorem_range_peaks_below_twice_its_last_genus(tmp_path):

@@ -36,6 +36,7 @@ from helpers import (
     motives,
     mutated_identity_lhs,
     reference_atiyah_bott,
+    reference_block_report_dict,
     reference_hodge,
     reference_poincare,
     truncated_macdonald,
@@ -404,6 +405,14 @@ def test_block_report_json_schema():
     assert data["blocks"][0]["hodge"] == [[0, 0, "1"]]
     assert [0, 0, "1"] in data["total"]
     assert all(isinstance(c, str) for _, _, c in data["total"])
+
+
+@pytest.mark.parametrize("genus", range(2, 9))
+def test_block_report_json_matches_the_reference_tree(genus):
+    report = block_decomposition_report(genus)
+    reference = reference_block_report_dict(report)
+    assert report.to_json() == json.dumps(reference, separators=(",", ":"))
+    assert report.to_dict() == reference
 
 
 # --- diamond rendering -----------------------------------------------------------
