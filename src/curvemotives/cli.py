@@ -41,6 +41,7 @@ from .realization import (
     hodge_polynomial,
     key_identity_sides,
     macdonald_series,
+    pair_table,
     poincare_polynomial,
     render_hodge_diamond,
 )
@@ -56,15 +57,18 @@ DEFAULT_M_MIN = 1
 DEFAULT_M_MAX = 100
 
 
-def _render(args: argparse.Namespace, results, text, json_text, header, rows, many=False) -> None:
+def _render(args: argparse.Namespace, results, text, json_text, header, csv_text,
+            many=False) -> None:
     """Write ``results`` to stdout, or to ``--out PATH``, in ``--format``,
     one write per result as it is made.
 
     ``text`` maps a result to its text without the final newline,
-    ``json_text`` to its compact JSON text (``_compact`` of a value, or a
-    serializer such as ``BlockReport.to_json`` that writes the text without
-    building the value) and ``rows`` to its CSV rows under ``header``; only
-    the one for the requested format runs.  ``many`` results
+    ``json_text`` to its compact JSON text and ``csv_text`` to the text of
+    its CSV rows, each ending in a newline, under the CSV row ``header``;
+    only the one for the requested format runs.  A command whose results
+    are plain values passes ``_compact`` of a value and ``_csv_text`` of its
+    rows; ``decompose`` passes the ``BlockReport`` renderers, which write
+    the text straight from each report's terms.  ``many`` results
     print as texts joined by a blank line, one JSON list or one CSV table.
     ``results`` may be lazy: each is rendered, written and dropped before the
     next is made, and nothing is written, nor ``--out`` opened, before the
@@ -76,8 +80,7 @@ def _render(args: argparse.Namespace, results, text, json_text, header, rows, ma
         head, sep, tail = ("[", ",", "]\n") if many else ("", "", "\n")
         piece = json_text
     else:
-        head, sep, tail = _csv_text((header,)), "", ""
-        piece = lambda result: _csv_text(rows(result))
+        head, sep, tail, piece = _csv_text((header,)), "", "", csv_text
     handle = None
     try:
         for index, chunk in enumerate(map(piece, results)):  # map keeps no result
@@ -111,7 +114,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         text=str,
         json_text=MotiveClass.to_json,
         header=("lambda", "lefschetz", "mult"),
-        rows=lambda motive: (
+        csv_text=lambda motive: _csv_text(
             (key.lambda_index, key.lefschetz_power, str(mult)) for key, mult in motive.items()
         ),
     )
@@ -175,7 +178,9 @@ def cmd_equal(args: argparse.Namespace) -> int:
             ],
         }),
         header=("genus", "equal"),
-        rows=lambda results: ((genus, str(not diff).lower()) for genus, diff in results),
+        csv_text=lambda results: _csv_text(
+            (genus, str(not diff).lower()) for genus, diff in results
+        ),
     )
     return EXIT_OK if all_equal else EXIT_FALSE
 
@@ -239,7 +244,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
             "first_failure": failure,
         }),
         header=("genus", "check", "result"),
-        rows=lambda results: (
+        csv_text=lambda results: _csv_text(
             (genus, name, verdict) for genus, checks in results for name, verdict in checks.items()
         ),
     )
@@ -278,7 +283,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
             "all_pass": first_bad is None,
         }),
         header=("m", "ok"),
-        rows=lambda results: ((m, str(ok).lower()) for m, _, _, ok in results),
+        csv_text=lambda results: _csv_text((m, str(ok).lower()) for m, _, _, ok in results),
     )
     return EXIT_OK if first_bad is None else EXIT_FALSE
 
@@ -296,7 +301,7 @@ def cmd_poincare(args: argparse.Namespace) -> int:
             "terms": [[degree, str(coeff)] for degree, coeff in poly.items()],
         }),
         header=("degree", "coeff"),
-        rows=lambda poly: ((degree, str(coeff)) for degree, coeff in poly.items()),
+        csv_text=lambda poly: _csv_text((degree, str(coeff)) for degree, coeff in poly.items()),
     )
     return EXIT_OK
 
@@ -319,40 +324,25 @@ def cmd_hodge(args: argparse.Namespace) -> int:
         text=render_hodge_diamond if args.diamond else str,
         json_text=lambda poly: _compact(_hodge_obj(poly, args.diamond)),
         header=("p", "q", "coeff"),
-        rows=lambda poly: ((p, q, str(coeff)) for (p, q), coeff in poly.items()),
+        csv_text=lambda poly: _csv_text((p, q, str(coeff)) for (p, q), coeff in poly.items()),
     )
     return EXIT_OK
 
 
 # --- decompose ------------------------------------------------------------
 
-def _block_table(report) -> str:
-    label_width = max(len(block.label) for block in report.blocks)
-    label_width = max(label_width, len("total"))
-    twist_width = max(len("twist"), max(len(str(b.twist)) for b in report.blocks))
-    lines = [f"genus {report.genus}: {len(report.blocks)} blocks"]
-    lines.append(f"  {'block'.ljust(label_width)}  {'twist'.rjust(twist_width)}  hodge")
-    for block in report.blocks:
-        lines.append(
-            f"  {block.label.ljust(label_width)}  {str(block.twist).rjust(twist_width)}  {block.hodge}"
-        )
-    lines.append(f"  {'total'.ljust(label_width)}  {' ' * twist_width}  {report.total}")
-    return "\n".join(lines)
-
-
 def cmd_decompose(args: argparse.Namespace) -> int:
     lo, hi = args.genus_min, args.genus_max
+    # one pair table for the range, up to 3g - 3 for its largest genus g: the largest exponent
+    pairs = pair_table(args.format, 3 * hi - 3)
     _render(
         args,
         (block_decomposition_report(genus) for genus in range(lo, hi + 1)),
-        text=_block_table,
-        json_text=BlockReport.to_json,  # looked up per call: a wrapper set on the class is used
+        text=lambda report: report.to_text(pairs),
+        # looked up per call: a wrapper set on the class is used
+        json_text=lambda report: BlockReport.to_json(report, pairs),
         header=("genus", "sym_power", "twist", "p", "q", "coeff"),
-        rows=lambda report: (
-            (report.genus, block.sym_power, block.twist, p, q, str(coeff))
-            for block in report.blocks
-            for (p, q), coeff in block.hodge.items()
-        ),
+        csv_text=lambda report: report.to_csv(pairs),
         many=lo != hi,
     )
     return EXIT_OK

@@ -31,7 +31,10 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from functools import cache
+from itertools import compress
 from math import comb
+from operator import add, itemgetter
 from typing import Iterable, Iterator
 
 from .core import MotiveClass, _check_genus
@@ -221,27 +224,205 @@ class HodgeBlock(namedtuple("HodgeBlock", "sym_power twist hodge")):
         return f"Sym({self.sym_power})*L^{self.twist}"
 
 
-class BlockReport(namedtuple("BlockReport", "genus blocks total")):
-    """Per-block Hodge contributions at one genus, plus their sum."""
+def _monomial(p: int, q: int) -> str:
+    """'u^p*v^q' as ``BiPolynomial`` prints it: a unit exponent and a zero
+    power left out, '' for (0, 0)."""
+    u = "" if not p else "u" if p == 1 else f"u^{p}"
+    v = "" if not q else "v" if q == 1 else f"v^{q}"
+    return f"{u}*{v}" if p and q else u + v
 
-    def to_json(self) -> str:
-        """The report's compact JSON, written as text from each polynomial's
-        ``items()`` with no tree of lists,
-        ``{"genus":g,"blocks":[{"sym_power":k,"twist":t,"hodge":[[p,q,"c"],...]},...],"total":[...]}``;
-        every value is an int or the decimal string of one, so nothing needs escaping."""
-        blocks = ",".join(
-            f'{{"sym_power":{b.sym_power},"twist":{b.twist},"hodge":[{_terms_json(b.hodge)}]}}'
-            for b in self.blocks
+
+# how each format prints an exponent pair, the part of a term before its coefficient
+_PAIR_FORMS = {"text": _monomial, "json": '[{},{},"'.format, "csv": "{},{},".format}
+
+
+def pair_table(form: str, top: int) -> tuple:
+    """``(width, step, strings)`` for rendering block reports in ``form``
+    ("text", "json" or "csv") with no exponent above ``top``: the string of
+    every exponent pair (p, q) with p, q < width = top + 1, at index
+    p*width + q*step.  The step is 1 for json and csv, so the index is
+    p*width + q, and width + 1 for text, so it is (p + q)*width + q; either
+    way index order is the order the format prints terms in, and twisting
+    by L^t moves every index by t*(width + step).  No exponent of a report
+    of genus g exceeds 3g - 3."""
+    width = top + 1
+    step = width + 1 if form == "text" else 1
+    pair = _PAIR_FORMS[form]
+    strings = [""] * (top * (width + step) + 1)
+    for p in range(width):
+        for q in range(width):
+            strings[p * width + q * step] = pair(p, q)
+    return width, step, strings
+
+
+def _pick(strings: list, indices: list, offset: int) -> tuple:
+    """The strings at ``indices`` moved by ``offset``, picked in C."""
+    if len(indices) > 1:
+        return itemgetter(*map(offset.__add__, indices))(strings)
+    return tuple(strings[i + offset] for i in indices)  # itemgetter of one index gives no tuple
+
+
+def _text_terms(coeffs, monomials) -> str:
+    """The positive terms ``coeff + monomial``, in print order, as ``str`` of a
+    ``BiPolynomial`` joins them; ``coeffs`` holds '' for a coefficient of 1,
+    which the constant term, the only one with an empty monomial, prints."""
+    pieces = list(map(add, coeffs, monomials))
+    if not pieces:
+        return "0"
+    if not pieces[0]:
+        pieces[0] = "1"
+    return " + ".join(pieces)
+
+
+class BlockReport:
+    """The symmetric-power decomposition of h(M_L) at one genus, realized in
+    (u, v).  ``powers`` holds each h(C^(k)) once, as ``(k, twists, hodge)``:
+    its Hodge polynomial and the twists t of its blocks h(C^(k)) (x) L^t.
+    ``blocks`` and ``total`` are built when read; the renderers ``to_text``,
+    ``to_json`` and ``to_csv`` build neither, and only the first two sum
+    the total.
+
+    Each renderer takes a ``pair_table`` of its format that covers the
+    report's exponents, which a caller rendering many genera makes once, for
+    the largest; by default it makes the report's own.  Twisting shifts
+    every pair by (t, t), which moves its table index by the twist's offset
+    and keeps the order the format prints in, so each power's indices are
+    sorted once, and every block's terms are the table's strings at them
+    moved by the offset, joined with coefficient strings made once per
+    power: the work per term of a block is done in C.  The Hodge numbers of
+    a genus repeat (genus 2..30 has 2,389 distinct ones among 76,879 terms
+    of its powers), so each renderer makes a coefficient's string once,
+    through a cache that lives as long as the call.  Every Hodge number is
+    positive, so no term prints a sign.
+    """
+
+    __slots__ = ("genus", "powers")
+
+    def __init__(self, genus: int, powers: tuple):
+        self.genus = genus
+        self.powers = powers
+
+    @property
+    def blocks(self) -> tuple:
+        """The ``HodgeBlock`` of every (k, twist), in the order of ``powers``."""
+        return tuple(
+            HodgeBlock(k, t, BiPolynomial._raw(
+                {(p + t, q + t): c for (p, q), c in hodge._coeffs.items()}))
+            for k, twists, hodge in self.powers
+            for t in twists
         )
-        return f'{{"genus":{self.genus},"blocks":[{blocks}],"total":[{_terms_json(self.total)}]}}'
+
+    @property
+    def total(self) -> BiPolynomial:
+        """The sum of the blocks: the Hodge polynomial of the moduli space."""
+        width = self._top() + 1
+        indices, coeffs = self._total(self._indexed(width, 1), width + 1)
+        return BiPolynomial._raw({divmod(i, width): c for i, c in zip(indices, coeffs)})
+
+    def _top(self) -> int:
+        """The largest exponent of u or v in any block, -1 if there is none."""
+        return max((max(map(max, hodge._coeffs)) + max(twists)
+                    for _, twists, hodge in self.powers if not hodge.is_zero), default=-1)
+
+    def _table(self, form: str, pairs) -> tuple:
+        """``pairs``, checked to cover the report's exponents, or if None the
+        ``pair_table`` of ``form`` for them."""
+        top = self._top()
+        if pairs is None:
+            return pair_table(form, top)
+        if top >= pairs[0]:
+            raise ValueError(f"the pair table stops below exponent {top}")
+        return pairs
+
+    def _indexed(self, width: int, step: int) -> list:
+        """``(k, twists, indices, coeffs)`` per power: the index
+        p*width + q*step of each of its pairs (p, q), ascending, and their
+        coefficients in that order."""
+        powers = []
+        for k, twists, hodge in self.powers:
+            by_index = {p * width + q * step: c for (p, q), c in hodge._coeffs.items()}
+            indices = sorted(by_index)
+            powers.append((k, twists, indices, list(map(by_index.__getitem__, indices))))
+        return powers
+
+    @staticmethod
+    def _total(powers: list, shift: int) -> tuple:
+        """The indices of the total's terms in ascending order, and their
+        coefficients, from ``_indexed`` powers whose twist t moves an index
+        by t*shift."""
+        dense = [0] * (1 + max((indices[-1] + max(twists) * shift
+                                for _, twists, indices, _ in powers if indices), default=-1))
+        for _, twists, indices, coeffs in powers:
+            for t in twists:
+                offset = t * shift
+                for i, c in zip(indices, coeffs):
+                    dense[i + offset] += c
+        return list(compress(range(len(dense)), dense)), list(filter(None, dense))
+
+    def to_text(self, pairs: tuple = None) -> str:
+        """The report as a table: a header line, a line per block with its
+        label, twist and Hodge polynomial, and a last line with the total;
+        each polynomial as ``str`` prints it."""
+        width, step, monomials = self._table("text", pairs)
+        shift = width + step
+        text_of = cache(lambda c: "" if c == 1 else str(c))  # a unit coefficient is not printed
+        powers = self._indexed(width, step)
+        blocks = []
+        for k, twists, indices, coeffs in powers:
+            texts = list(map(text_of, coeffs))
+            for t in twists:
+                blocks.append((f"Sym({k})*L^{t}", str(t),
+                               _text_terms(texts, _pick(monomials, indices, t * shift))))
+        indices, coeffs = self._total(powers, shift)
+        total = _text_terms(map(text_of, coeffs), _pick(monomials, indices, 0))
+        label_width = max(5, *(len(label) for label, _, _ in blocks))
+        twist_width = max(5, *(len(twist) for _, twist, _ in blocks))
+        lines = [f"genus {self.genus}: {len(blocks)} blocks",
+                 f"  {'block'.ljust(label_width)}  {'twist'.rjust(twist_width)}  hodge"]
+        lines += [f"  {label.ljust(label_width)}  {twist.rjust(twist_width)}  {hodge}"
+                  for label, twist, hodge in blocks]
+        lines.append(f"  {'total'.ljust(label_width)}  {' ' * twist_width}  {total}")
+        return "\n".join(lines)
+
+    def to_json(self, pairs: tuple = None) -> str:
+        """The report's compact JSON,
+        ``{"genus":g,"blocks":[{"sym_power":k,"twist":t,"hodge":[[p,q,"c"],...]},...],"total":[...]}``,
+        each polynomial's terms in (p, q) order; every value is an int or the
+        decimal string of one, so nothing needs escaping."""
+        width, step, heads = self._table("json", pairs)
+        shift = width + step
+        tail_of = cache('{}"]'.format)
+        powers = self._indexed(width, step)
+        blocks = []
+        for k, twists, indices, coeffs in powers:
+            tails = list(map(tail_of, coeffs))
+            for t in twists:
+                terms = ",".join(map(add, _pick(heads, indices, t * shift), tails))
+                blocks.append(f'{{"sym_power":{k},"twist":{t},"hodge":[{terms}]}}')
+        indices, coeffs = self._total(powers, shift)
+        total = ",".join(map(add, _pick(heads, indices, 0), map(tail_of, coeffs)))
+        return f'{{"genus":{self.genus},"blocks":[{",".join(blocks)}],"total":[{total}]}}'
 
     def to_dict(self) -> dict:
         """The value of :meth:`to_json`."""
         return json.loads(self.to_json())
 
-
-def _terms_json(poly: BiPolynomial) -> str:
-    return ",".join(f'[{p},{q},"{c}"]' for (p, q), c in poly.items())
+    def to_csv(self, pairs: tuple = None) -> str:
+        """The report's CSV rows ``genus,sym_power,twist,p,q,coeff``, one per
+        term of each block in (p, q) order; it has no total."""
+        width, step, heads = self._table("csv", pairs)
+        shift = width + step
+        tail_of = cache(str)
+        rows = []
+        for k, twists, indices, coeffs in self._indexed(width, step):
+            if not indices:
+                continue
+            tails = list(map(tail_of, coeffs))
+            for t in twists:
+                start = f"{self.genus},{k},{t},"
+                terms = map(add, _pick(heads, indices, t * shift), tails)
+                rows.append(start + f"\n{start}".join(terms) + "\n")
+        return "".join(rows)
 
 
 def block_decomposition_report(genus: int) -> BlockReport:
@@ -251,27 +432,14 @@ def block_decomposition_report(genus: int) -> BlockReport:
     k = 0..g-2, then the middle block at k = g-1 with twist g-1.  The 2g-1
     block polynomials sum to the Hodge polynomial of the moduli space.
     The h(C^(k)) are realized in order of k, each from the one before
-    (``_realize_in_order``), and each one's terms are sorted once for both
-    twists; twisting by L^t shifts the exponents by (t, t).  The total is
-    accumulated once, as the blocks are made.
+    (``_realize_in_order``), and each is kept once for all of its twists
+    (see ``BlockReport``); every Hodge number is positive, so none is 0.
     """
     _check_genus(genus)
     table = _blocks(genus)
     powers = _realize_in_order((sym_power_curve(k, genus) for k, _ in table), hodge=True)
-    blocks = []
-    total: dict = {}
-    get = total.get
-    for (k, twists), power in zip(table, powers):
-        coeffs = power._coeffs  # unordered: sorting its (p, q) keys beats sorting its items
-        keys = sorted(coeffs)
-        terms = tuple(zip(keys, map(coeffs.__getitem__, keys)))
-        for twist in twists:
-            hodge = {(p + twist, q + twist): c for (p, q), c in terms}
-            for pq, c in hodge.items():
-                total[pq] = get(pq, 0) + c
-            blocks.append(HodgeBlock(k, twist, BiPolynomial._raw(hodge)))
-    # every Hodge number is positive, so neither a block nor the total has a 0
-    return BlockReport(genus=genus, blocks=tuple(blocks), total=BiPolynomial._raw(total))
+    return BlockReport(genus, tuple((k, twists, hodge)
+                                    for (k, twists), hodge in zip(table, powers)))
 
 
 def hodge_diamond_rows(poly: BiPolynomial) -> list:

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
+from collections import namedtuple
 from math import comb
 
 import hypothesis.strategies as st
 
-from curvemotives import MotiveClass, direct_sum, lefschetz, sym_power_curve, tensor, zero
+from curvemotives import (
+    HodgeBlock,
+    MotiveClass,
+    direct_sum,
+    lefschetz,
+    sym_power_curve,
+    tensor,
+    zero,
+)
 from curvemotives.dsl import (
     Curve,
     LambdaH1,
@@ -382,7 +394,64 @@ def reference_tensor(a: MotiveClass, b: MotiveClass) -> MotiveClass:
     return MotiveClass(a.genus, terms)
 
 
-# --- reference serialization of a block report --------------------------------
+# --- reference block reports and their three renderings ------------------------
+
+ReferenceReport = namedtuple("ReferenceReport", "genus blocks total")
+
+
+def reference_block_report(genus: int, realize) -> ReferenceReport:
+    """A block report built term by term: the blocks (k, t, realize(k) (uv)^t)
+    for twists t = k and 3g-3-2k at k = 0..g-2, then t = g-1 at k = g-1, each
+    twisted polynomial formed by BiPolynomial multiplication, and their sum
+    by BiPolynomial addition."""
+    table = [(k, t) for k in range(genus - 1) for t in (k, 3 * genus - 3 - 2 * k)]
+    table.append((genus - 1, genus - 1))
+    blocks = [
+        HodgeBlock(k, t, realize(k) * BiPolynomial.monomial(t, t)) for k, t in table
+    ]
+    total = BiPolynomial.zero()
+    for block in blocks:
+        total = total + block.hodge
+    return ReferenceReport(genus, blocks, total)
+
+
+def reference_block_text(report) -> str:
+    """The text table of a block report, each polynomial by
+    :func:`reference_bi_str`: a ``genus g: n blocks`` line, a header, one
+    line per block and a total line, the label column as wide as its widest
+    entry and the twist column as wide as ``twist`` or its widest twist."""
+    labels = [f"Sym({block.sym_power})*L^{block.twist}" for block in report.blocks]
+    label_width = max(len(label) for label in labels + ["total"])
+    twist_width = max(len(str(twist)) for twist in [b.twist for b in report.blocks] + ["twist"])
+    lines = [
+        f"genus {report.genus}: {len(report.blocks)} blocks",
+        "  " + "block".ljust(label_width) + "  " + "twist".rjust(twist_width) + "  hodge",
+    ]
+    for label, block in zip(labels, report.blocks):
+        lines.append("  " + label.ljust(label_width) + "  " + str(block.twist).rjust(twist_width)
+                     + "  " + reference_bi_str(block.hodge))
+    lines.append("  " + "total".ljust(label_width) + "  " + " " * twist_width
+                 + "  " + reference_bi_str(report.total))
+    return "\n".join(lines)
+
+
+def reference_block_json(report) -> str:
+    """:func:`reference_block_report_dict` as compact JSON by ``json.dumps``."""
+    return json.dumps(reference_block_report_dict(report), separators=(",", ":"))
+
+
+def reference_block_csv(report) -> str:
+    """The CSV rows of a block report through ``csv.writer``: genus,
+    sym_power, twist, p, q, coeff per term of each block, in ``items()``
+    order, and no total."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        (report.genus, block.sym_power, block.twist, p, q, str(c))
+        for block in report.blocks
+        for (p, q), c in block.hodge.items()
+    )
+    return buffer.getvalue()
+
 
 def reference_block_report_dict(report) -> dict:
     """The value of a ``BlockReport``'s JSON, built as a tree of dicts and lists:

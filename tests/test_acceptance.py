@@ -4,6 +4,7 @@ Everything here is exact integer/polynomial arithmetic; run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
+import json
 import random
 
 from curvemotives import (
@@ -172,3 +173,29 @@ def test_criterion_12_hodge_macdonald_oracle():
     )
     _report("criterion 12: Hodge Macdonald series matches realized symmetric powers, n = 0..2g, "
             "genus 2..30", ok)
+
+
+def test_criterion_13_published_moduli_invariants(capsys):
+    """Hodge numbers of the moduli space M from the literature, read from the
+    ``total`` of each genus in ``decompose --format json``; the expected
+    values are written out here, with no oracle and no motive code."""
+    code = main(["decompose", "--genus-min", "2", "--genus-max", "30", "--format", "json"])
+    reports = json.loads(capsys.readouterr().out)
+    ok = code == 0 and [report["genus"] for report in reports] == list(GENUS_RANGE)
+    for report in reports:
+        g = report["genus"]
+        hodge = {(p, q): int(c) for p, q, c in report["total"]}
+        ok = ok and (
+            # dim M = 3g - 3: the degree in u and in v, with h^{3g-3,3g-3} = 1
+            max(p for p, _ in hodge) == max(q for _, q in hodge) == 3 * g - 3
+            and hodge.get((3 * g - 3, 3 * g - 3)) == 1
+            and (1, 0) not in hodge  # b_1 = 0
+            and hodge.get((1, 1)) == 1  # Pic M = Z (Drezet-Narasimhan)
+            # M is rational (Newstead): no h^{p,0} or h^{0,p} for p > 0
+            and not any((p == 0) != (q == 0) for p, q in hodge)
+            # the intermediate Jacobian of M is J(C) (Mumford-Newstead)
+            and hodge.get((2, 1)) == hodge.get((1, 2)) == g
+        )
+        if g == 2:  # the intersection of two quadrics in P^5 (Newstead)
+            ok = ok and hodge == {(0, 0): 1, (1, 1): 1, (2, 1): 2, (1, 2): 2, (2, 2): 1, (3, 3): 1}
+    _report("criterion 13: published Hodge numbers of M in the decompose totals, genus 2..30", ok)

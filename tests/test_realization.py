@@ -26,7 +26,7 @@ from curvemotives import (
     verify_key_identity,
 )
 from curvemotives import cli, realization
-from curvemotives.realization import _realize_in_order
+from curvemotives.realization import _realize_in_order, pair_table
 from curvemotives.polynomials import BiPolynomial, IntPolynomial
 from helpers import (
     ALTERATIONS,
@@ -36,7 +36,11 @@ from helpers import (
     motives,
     mutated_identity_lhs,
     reference_atiyah_bott,
+    reference_block_csv,
+    reference_block_json,
+    reference_block_report,
     reference_block_report_dict,
+    reference_block_text,
     reference_hodge,
     reference_poincare,
     truncated_macdonald,
@@ -363,12 +367,31 @@ def test_blocks_are_twisted_sym_power_realizations(genus):
     assert report.total == hodge_polynomial(moduli_motive_conjectural(genus))
 
 
+# each renderer's reference, built from a reference report
+RENDERINGS = (("text", reference_block_text), ("json", reference_block_json),
+              ("csv", reference_block_csv))
+
+
+def _assert_renders_as(report, reference, *context) -> None:
+    """Each of the report's three renderings equals that of ``reference``,
+    both with the renderer's own pair table and with the larger one that
+    ``decompose`` makes for genus 2..12."""
+    for form, render in RENDERINGS:
+        expected = render(reference)
+        for pairs in (None, pair_table(form, 3 * 12 - 3)):
+            assert getattr(report, f"to_{form}")(pairs) == expected, (form, pairs is None, *context)
+
+
 @pytest.mark.parametrize("kind", ALTERATIONS)
 @pytest.mark.parametrize("k", range(3))
 def test_block_report_realizes_an_altered_symmetric_power(monkeypatch, k, kind):
     """At genus 3, Sym^k alone gains, loses or reweights one term, in each of
     its rows in turn: its blocks must be the twisted realization of the
-    altered motive, every other block that of the true one."""
+    altered motive, every other block that of the true one.  The report's
+    text, json and csv must be those of a reference report built from the
+    same blocks, so every block is rendered from every term of its power;
+    Sym^0 gaining a term reaches an exponent above 3g - 3, and losing its
+    one term leaves two empty blocks."""
     motive = sym_power_curve(k, 3)
     for b in altered_rows(motive, kind):
         altered = altered_motive(motive, b, kind)
@@ -384,6 +407,31 @@ def test_block_report_realizes_an_altered_symmetric_power(monkeypatch, k, kind):
             assert block.hodge == hodge_polynomial(source) * twist, (b, kind, block.label)
             total = total + block.hodge
         assert report.total == total
+        reference = reference_block_report(
+            3, lambda n: reference_hodge(altered if n == k else sym_power_curve(n, 3))
+        )
+        _assert_renders_as(report, reference, b, kind)
+
+
+@pytest.mark.parametrize("genus", range(2, 13))
+def test_block_report_renders_as_the_references(genus):
+    """Text, json and csv of the report equal those of a reference report,
+    whose blocks are realized by ``reference_hodge`` and twisted by
+    multiplication, rendered by ``reference_bi_str``, ``json.dumps`` and
+    ``csv.writer``."""
+    reference = reference_block_report(
+        genus, lambda k: reference_hodge(sym_power_curve(k, genus))
+    )
+    _assert_renders_as(block_decomposition_report(genus), reference, genus)
+
+
+def test_block_report_refuses_a_pair_table_that_misses_an_exponent():
+    report = block_decomposition_report(4)  # largest exponent 3g - 3 = 9
+    for form in ("text", "json", "csv"):
+        render = getattr(report, f"to_{form}")
+        with pytest.raises(ValueError, match="exponent 9"):
+            render(pair_table(form, 8))
+        assert render(pair_table(form, 9)) == render()
 
 
 @pytest.mark.parametrize("genus", range(2, 31))
