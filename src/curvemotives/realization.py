@@ -232,8 +232,14 @@ def _monomial(p: int, q: int) -> str:
     return f"{u}*{v}" if p and q else u + v
 
 
-# how each format prints an exponent pair, the part of a term before its coefficient
-_PAIR_FORMS = {"text": _monomial, "json": '[{},{},"'.format, "csv": "{},{},".format}
+# per format: how it prints an exponent pair and a coefficient, and whether the
+# coefficient comes first; "items" makes each term a ((p, q), coeff) pair of ints
+_FORMS = {
+    "text": (_monomial, lambda c: "" if c == 1 else str(c), True),  # a unit coefficient is not printed
+    "json": ('[{},{},"'.format, '{}"]'.format, False),
+    "csv": ("{},{},".format, str, False),
+    "items": (lambda p, q: ((p, q),), lambda c: (c,), False),
+}
 
 
 def pair_table(form: str, top: int) -> tuple:
@@ -247,7 +253,7 @@ def pair_table(form: str, top: int) -> tuple:
     of genus g exceeds 3g - 3."""
     width = top + 1
     step = width + 1 if form == "text" else 1
-    pair = _PAIR_FORMS[form]
+    pair = _FORMS[form][0]
     strings = [""] * (top * (width + step) + 1)
     for p in range(width):
         for q in range(width):
@@ -262,38 +268,27 @@ def _pick(strings: list, indices: list, offset: int) -> tuple:
     return tuple(strings[i + offset] for i in indices)  # itemgetter of one index gives no tuple
 
 
-def _text_terms(coeffs, monomials) -> str:
-    """The positive terms ``coeff + monomial``, in print order, as ``str`` of a
-    ``BiPolynomial`` joins them; ``coeffs`` holds '' for a coefficient of 1,
-    which the constant term, the only one with an empty monomial, prints."""
-    pieces = list(map(add, coeffs, monomials))
-    if not pieces:
-        return "0"
-    if not pieces[0]:
-        pieces[0] = "1"
-    return " + ".join(pieces)
-
-
 class BlockReport:
     """The symmetric-power decomposition of h(M_L) at one genus, realized in
     (u, v).  ``powers`` holds each h(C^(k)) once, as ``(k, twists, hodge)``:
     its Hodge polynomial and the twists t of its blocks h(C^(k)) (x) L^t.
-    ``blocks`` and ``total`` are built when read; the renderers ``to_text``,
-    ``to_json`` and ``to_csv`` build neither, and only the first two sum
-    the total.
 
-    Each renderer takes a ``pair_table`` of its format that covers the
-    report's exponents, which a caller rendering many genera makes once, for
-    the largest; by default it makes the report's own.  Twisting shifts
-    every pair by (t, t), which moves its table index by the twist's offset
-    and keeps the order the format prints in, so each power's indices are
-    sorted once, and every block's terms are the table's strings at them
-    moved by the offset, joined with coefficient strings made once per
-    power: the work per term of a block is done in C.  The Hodge numbers of
-    a genus repeat (genus 2..30 has 2,389 distinct ones among 76,879 terms
-    of its powers), so each renderer makes a coefficient's string once,
-    through a cache that lives as long as the call.  Every Hodge number is
-    positive, so no term prints a sign.
+    Everything else is read through one generator, ``_rendered``, which
+    yields the terms of each block and then of the total in one format of
+    ``_FORMS``: ``to_text``, ``to_json`` and ``to_csv`` join its strings,
+    and ``blocks`` and ``total`` build polynomials from its "items".  It
+    takes a ``pair_table`` of its format that covers the report's exponents,
+    which a caller rendering many genera makes once, for the largest; by
+    default it makes the report's own.  Twisting shifts every pair by
+    (t, t), which moves its table index by the twist's offset and keeps the
+    order the format prints in, so each power's indices are sorted once,
+    and every block's terms are the table's strings at them moved by the
+    offset, joined with coefficient strings made once per power: the work
+    per term of a block is done in C.  The Hodge numbers of a genus repeat
+    (genus 2..30 has 2,389 distinct ones among 76,879 terms of its powers),
+    so a coefficient's string is made once per call.  Only one power's
+    strings are held at a time.  Every Hodge number is positive, so no term
+    prints a sign.
     """
 
     __slots__ = ("genus", "powers")
@@ -305,102 +300,86 @@ class BlockReport:
     @property
     def blocks(self) -> tuple:
         """The ``HodgeBlock`` of every (k, twist), in the order of ``powers``."""
-        return tuple(
-            HodgeBlock(k, t, BiPolynomial._raw(
-                {(p + t, q + t): c for (p, q), c in hodge._coeffs.items()}))
-            for k, twists, hodge in self.powers
-            for t in twists
-        )
+        return tuple(HodgeBlock(k, t, BiPolynomial._raw(dict(terms)))
+                     for k, t, terms in self._rendered("items", total=False))
 
     @property
     def total(self) -> BiPolynomial:
         """The sum of the blocks: the Hodge polynomial of the moduli space."""
-        width = self._top() + 1
-        indices, coeffs = self._total(self._indexed(width, 1), width + 1)
-        return BiPolynomial._raw({divmod(i, width): c for i, c in zip(indices, coeffs)})
+        for _, _, terms in self._rendered("items"):
+            pass  # the total comes last
+        return BiPolynomial._raw(dict(terms))
 
     def _top(self) -> int:
         """The largest exponent of u or v in any block, -1 if there is none."""
         return max((max(map(max, hodge._coeffs)) + max(twists)
                     for _, twists, hodge in self.powers if not hodge.is_zero), default=-1)
 
-    def _table(self, form: str, pairs) -> tuple:
-        """``pairs``, checked to cover the report's exponents, or if None the
-        ``pair_table`` of ``form`` for them."""
+    def _rendered(self, form: str, pairs: tuple = None, total: bool = True) -> Iterator:
+        """``(k, t, terms)`` for each block h(C^(k)) (x) L^t in the order of
+        ``powers``, then with ``total`` ``(None, None, terms)`` for their
+        sum: the block's terms in ``form``'s print order, each its pair's
+        string and its coefficient's joined as ``_FORMS`` says.  ``pairs``
+        is a ``pair_table`` of ``form`` that covers the report's exponents,
+        by default the report's own."""
         top = self._top()
         if pairs is None:
-            return pair_table(form, top)
-        if top >= pairs[0]:
+            pairs = pair_table(form, top)
+        elif top >= pairs[0]:
             raise ValueError(f"the pair table stops below exponent {top}")
-        return pairs
+        width, step, strings = pairs
+        shift = width + step
+        _, coeff_form, coeff_first = _FORMS[form]
+        coeff_of = cache(coeff_form)
+        dense = [0] * (top * shift + 1) if total else None  # the total, by index
 
-    def _indexed(self, width: int, step: int) -> list:
-        """``(k, twists, indices, coeffs)`` per power: the index
-        p*width + q*step of each of its pairs (p, q), ascending, and their
-        coefficients in that order."""
-        powers = []
+        def joined(indices: list, coeffs: list, offset: int) -> list:
+            picked = _pick(strings, indices, offset)
+            terms = list(map(add, coeffs, picked) if coeff_first else map(add, picked, coeffs))
+            if terms and not terms[0]:  # the text constant of coefficient 1: '' + ''
+                terms[0] = "1"
+            return terms
+
         for k, twists, hodge in self.powers:
             by_index = {p * width + q * step: c for (p, q), c in hodge._coeffs.items()}
             indices = sorted(by_index)
-            powers.append((k, twists, indices, list(map(by_index.__getitem__, indices))))
-        return powers
-
-    @staticmethod
-    def _total(powers: list, shift: int) -> tuple:
-        """The indices of the total's terms in ascending order, and their
-        coefficients, from ``_indexed`` powers whose twist t moves an index
-        by t*shift."""
-        dense = [0] * (1 + max((indices[-1] + max(twists) * shift
-                                for _, twists, indices, _ in powers if indices), default=-1))
-        for _, twists, indices, coeffs in powers:
+            coeffs = list(map(by_index.__getitem__, indices))
+            strings_of = list(map(coeff_of, coeffs))
             for t in twists:
                 offset = t * shift
-                for i, c in zip(indices, coeffs):
-                    dense[i + offset] += c
-        return list(compress(range(len(dense)), dense)), list(filter(None, dense))
+                if total:
+                    for i, c in zip(indices, coeffs):
+                        dense[i + offset] += c
+                yield k, t, joined(indices, strings_of, offset)
+        if total:
+            indices = list(compress(range(len(dense)), dense))
+            yield None, None, joined(indices, list(map(coeff_of, filter(None, dense))), 0)
 
     def to_text(self, pairs: tuple = None) -> str:
         """The report as a table: a header line, a line per block with its
         label, twist and Hodge polynomial, and a last line with the total;
         each polynomial as ``str`` prints it."""
-        width, step, monomials = self._table("text", pairs)
-        shift = width + step
-        text_of = cache(lambda c: "" if c == 1 else str(c))  # a unit coefficient is not printed
-        powers = self._indexed(width, step)
-        blocks = []
-        for k, twists, indices, coeffs in powers:
-            texts = list(map(text_of, coeffs))
-            for t in twists:
-                blocks.append((f"Sym({k})*L^{t}", str(t),
-                               _text_terms(texts, _pick(monomials, indices, t * shift))))
-        indices, coeffs = self._total(powers, shift)
-        total = _text_terms(map(text_of, coeffs), _pick(monomials, indices, 0))
-        label_width = max(5, *(len(label) for label, _, _ in blocks))
-        twist_width = max(5, *(len(twist) for _, twist, _ in blocks))
-        lines = [f"genus {self.genus}: {len(blocks)} blocks",
+        rows = []
+        for k, t, terms in self._rendered("text", pairs):
+            label, twist = ("total", "") if k is None else (f"Sym({k})*L^{t}", str(t))
+            rows.append((label, twist, " + ".join(terms) or "0"))
+        label_width = max(len(label) for label, _, _ in rows)  # "total" is as wide as "block"
+        twist_width = max(5, *(len(twist) for _, twist, _ in rows))
+        parts = [f"genus {self.genus}: {len(rows) - 1} blocks\n"
                  f"  {'block'.ljust(label_width)}  {'twist'.rjust(twist_width)}  hodge"]
-        lines += [f"  {label.ljust(label_width)}  {twist.rjust(twist_width)}  {hodge}"
-                  for label, twist, hodge in blocks]
-        lines.append(f"  {'total'.ljust(label_width)}  {' ' * twist_width}  {total}")
-        return "\n".join(lines)
+        for label, twist, hodge in rows:  # each polynomial is joined in, not copied into a line
+            parts += (f"\n  {label.ljust(label_width)}  {twist.rjust(twist_width)}  ", hodge)
+        return "".join(parts)
 
     def to_json(self, pairs: tuple = None) -> str:
         """The report's compact JSON,
         ``{"genus":g,"blocks":[{"sym_power":k,"twist":t,"hodge":[[p,q,"c"],...]},...],"total":[...]}``,
         each polynomial's terms in (p, q) order; every value is an int or the
         decimal string of one, so nothing needs escaping."""
-        width, step, heads = self._table("json", pairs)
-        shift = width + step
-        tail_of = cache('{}"]'.format)
-        powers = self._indexed(width, step)
-        blocks = []
-        for k, twists, indices, coeffs in powers:
-            tails = list(map(tail_of, coeffs))
-            for t in twists:
-                terms = ",".join(map(add, _pick(heads, indices, t * shift), tails))
-                blocks.append(f'{{"sym_power":{k},"twist":{t},"hodge":[{terms}]}}')
-        indices, coeffs = self._total(powers, shift)
-        total = ",".join(map(add, _pick(heads, indices, 0), map(tail_of, coeffs)))
+        blocks = [",".join(terms) if k is None
+                  else f'{{"sym_power":{k},"twist":{t},"hodge":[{",".join(terms)}]}}'
+                  for k, t, terms in self._rendered("json", pairs)]
+        total = blocks.pop()
         return f'{{"genus":{self.genus},"blocks":[{",".join(blocks)}],"total":[{total}]}}'
 
     def to_dict(self) -> dict:
@@ -410,17 +389,10 @@ class BlockReport:
     def to_csv(self, pairs: tuple = None) -> str:
         """The report's CSV rows ``genus,sym_power,twist,p,q,coeff``, one per
         term of each block in (p, q) order; it has no total."""
-        width, step, heads = self._table("csv", pairs)
-        shift = width + step
-        tail_of = cache(str)
         rows = []
-        for k, twists, indices, coeffs in self._indexed(width, step):
-            if not indices:
-                continue
-            tails = list(map(tail_of, coeffs))
-            for t in twists:
+        for k, t, terms in self._rendered("csv", pairs, total=False):
+            if terms:
                 start = f"{self.genus},{k},{t},"
-                terms = map(add, _pick(heads, indices, t * shift), tails)
                 rows.append(start + f"\n{start}".join(terms) + "\n")
         return "".join(rows)
 

@@ -6,6 +6,7 @@ Everything here is exact integer/polynomial arithmetic; run with
 
 import json
 import random
+from math import comb
 
 from curvemotives import (
     hodge_polynomial,
@@ -199,3 +200,63 @@ def test_criterion_13_published_moduli_invariants(capsys):
         if g == 2:  # the intersection of two quadrics in P^5 (Newstead)
             ok = ok and hodge == {(0, 0): 1, (1, 1): 1, (2, 1): 2, (1, 2): 2, (2, 2): 1, (3, 3): 1}
     _report("criterion 13: published Hodge numbers of M in the decompose totals, genus 2..30", ok)
+
+
+def _cli_terms(capsys, argv: list) -> dict:
+    """The ``terms`` of a ``--format json`` CLI run, as {exponents: coeff}."""
+    assert main([*argv, "--format", "json"]) == 0, argv
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    return {tuple(term[:-1]): int(term[-1]) for term in terms}
+
+
+def _published_moduli_facts(g: int, hodge: dict) -> bool:
+    """The Hodge numbers of M at genus g that the literature fixes, in a
+    {(p, q): h^{p,q}} map of its nonzero ones."""
+    return (
+        # dim M = 3g - 3: the degree in u and in v, with h^{3g-3,3g-3} = 1
+        max(p for p, _ in hodge) == max(q for _, q in hodge) == 3 * g - 3
+        and hodge.get((3 * g - 3, 3 * g - 3)) == 1
+        and (1, 0) not in hodge  # b_1 = 0
+        and hodge.get((1, 1)) == 1  # Pic M = Z (Drezet-Narasimhan)
+        # M is rational (Newstead): no h^{p,0} or h^{0,p} for p > 0
+        and not any((p == 0) != (q == 0) for p, q in hodge)
+        # the intermediate Jacobian of M is J(C) (Mumford-Newstead)
+        and hodge.get((2, 1)) == hodge.get((1, 2)) == g
+    )
+
+
+def test_criterion_13_published_moduli_invariants_wide(capsys):
+    """The moduli facts of criterion 13 over genus 2..60, read from
+    ``hodge --genus g EXPR --format json`` for both forms of M, one genus
+    at a time, so no range report is held."""
+    ok = all(
+        _published_moduli_facts(g, _cli_terms(capsys, ["hodge", "--genus", str(g), form]))
+        for g in WIDE_GENUS_RANGE
+        for form in ("M", "Mconj")
+    )
+    _report("criterion 13: published Hodge numbers of M in both forms, genus 2..60", ok)
+
+
+def _binomial(n: int, k: int) -> int:
+    return comb(n, k) if k >= 0 else 0  # comb is already 0 for k > n
+
+
+def test_criterion_13_symmetric_powers_past_2g(capsys):
+    """For n >= 2g - 1, C^(n) is a P^(n-g)-bundle over the Jacobian
+    (Mattuck; Schwarzenberger), so its Poincare polynomial is
+    (1+t)^2g (1 + t^2 + ... + t^(2(n-g))) and its Hodge polynomial is
+    (1+u)^g (1+v)^g (1 + uv + ... + (uv)^(n-g)): built here from binomials
+    alone, for genus 2..12 and n = 2g-1..2g+3, past n = 2g where the
+    Macdonald check stops."""
+    ok = True
+    for g in range(2, 13):
+        for n in range(2 * g - 1, 2 * g + 4):
+            fibre = range(n - g + 1)  # the powers of t^2, or of uv, of P^(n-g)
+            poincare = {(d,): sum(_binomial(2 * g, d - 2 * j) for j in fibre)
+                        for d in range(2 * n + 1)}
+            hodge = {(p, q): h for p in range(n + 1) for q in range(n + 1)
+                     for h in [sum(_binomial(g, p - j) * _binomial(g, q - j) for j in fibre)] if h}
+            expr = f"Sym({n})"
+            ok = ok and _cli_terms(capsys, ["poincare", "--genus", str(g), expr]) == poincare
+            ok = ok and _cli_terms(capsys, ["hodge", "--genus", str(g), expr]) == hodge
+    _report("criterion 13: Poincare and Hodge polynomials of Sym^n, n = 2g-1..2g+3, genus 2..12", ok)
