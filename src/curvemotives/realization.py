@@ -232,13 +232,15 @@ def _monomial(p: int, q: int) -> str:
     return f"{u}*{v}" if p and q else u + v
 
 
-# per format: how it prints an exponent pair and a coefficient, and whether the
-# coefficient comes first; "items" makes each term a ((p, q), coeff) pair of ints
+# per format: how it prints an exponent pair and a coefficient, and how it
+# makes the terms from the picked pair strings and the coefficient strings;
+# "items" makes each term a ((p, q), coeff) pair of ints
 _FORMS = {
-    "text": (_monomial, lambda c: "" if c == 1 else str(c), True),  # a unit coefficient is not printed
-    "json": ('[{},{},"'.format, '{}"]'.format, False),
-    "csv": ("{},{},".format, str, False),
-    "items": (lambda p, q: ((p, q),), lambda c: (c,), False),
+    "text": (_monomial, lambda c: "" if c == 1 else str(c),  # a unit coefficient is not printed
+             lambda pairs, coeffs: map(add, coeffs, pairs)),
+    "json": ('[{},{},"'.format, '{}"]'.format, lambda pairs, coeffs: map(add, pairs, coeffs)),
+    "csv": ("{},{},".format, str, lambda pairs, coeffs: map(add, pairs, coeffs)),
+    "items": (lambda p, q: (p, q), int, zip),
 }
 
 
@@ -255,9 +257,8 @@ def pair_table(form: str, top: int) -> tuple:
     step = width + 1 if form == "text" else 1
     pair = _FORMS[form][0]
     strings = [""] * (top * (width + step) + 1)
-    for p in range(width):
-        for q in range(width):
-            strings[p * width + q * step] = pair(p, q)
+    for p in range(width):  # the indices p*width + q*step of q = 0..top
+        strings[p * width:p * width + top * step + 1:step] = [pair(p, q) for q in range(width)]
     return width, step, strings
 
 
@@ -306,22 +307,24 @@ class BlockReport:
     @property
     def total(self) -> BiPolynomial:
         """The sum of the blocks: the Hodge polynomial of the moduli space."""
-        for _, _, terms in self._rendered("items"):
-            pass  # the total comes last
+        (_, _, terms), = self._rendered("items", blocks=False)
         return BiPolynomial._raw(dict(terms))
 
     def _top(self) -> int:
         """The largest exponent of u or v in any block, -1 if there is none."""
-        return max((max(map(max, hodge._coeffs)) + max(twists)
-                    for _, twists, hodge in self.powers if not hodge.is_zero), default=-1)
+        # the largest p leads the largest pair; the largest q is found by key
+        return max((max(max(hodge._coeffs)[0], max(hodge._coeffs, key=itemgetter(1))[1])
+                    + max(twists) for _, twists, hodge in self.powers if not hodge.is_zero),
+                   default=-1)
 
-    def _rendered(self, form: str, pairs: tuple = None, total: bool = True) -> Iterator:
-        """``(k, t, terms)`` for each block h(C^(k)) (x) L^t in the order of
-        ``powers``, then with ``total`` ``(None, None, terms)`` for their
-        sum: the block's terms in ``form``'s print order, each its pair's
-        string and its coefficient's joined as ``_FORMS`` says.  ``pairs``
-        is a ``pair_table`` of ``form`` that covers the report's exponents,
-        by default the report's own."""
+    def _rendered(self, form: str, pairs: tuple = None,
+                  blocks: bool = True, total: bool = True) -> Iterator:
+        """With ``blocks`` ``(k, t, terms)`` for each block h(C^(k)) (x) L^t
+        in the order of ``powers``, then with ``total`` ``(None, None,
+        terms)`` for their sum: the terms in ``form``'s print order, each
+        its pair's string and its coefficient's joined as ``_FORMS`` says.
+        ``pairs`` is a ``pair_table`` of ``form`` that covers the report's
+        exponents, by default the report's own."""
         top = self._top()
         if pairs is None:
             pairs = pair_table(form, top)
@@ -329,13 +332,13 @@ class BlockReport:
             raise ValueError(f"the pair table stops below exponent {top}")
         width, step, strings = pairs
         shift = width + step
-        _, coeff_form, coeff_first = _FORMS[form]
+        _, coeff_form, join = _FORMS[form]
         coeff_of = cache(coeff_form)
         dense = [0] * (top * shift + 1) if total else None  # the total, by index
 
         def joined(indices: list, coeffs: list, offset: int) -> list:
             picked = _pick(strings, indices, offset)
-            terms = list(map(add, coeffs, picked) if coeff_first else map(add, picked, coeffs))
+            terms = list(join(picked, coeffs))
             if terms and not terms[0]:  # the text constant of coefficient 1: '' + ''
                 terms[0] = "1"
             return terms
@@ -350,7 +353,8 @@ class BlockReport:
                 if total:
                     for i, c in zip(indices, coeffs):
                         dense[i + offset] += c
-                yield k, t, joined(indices, strings_of, offset)
+                if blocks:
+                    yield k, t, joined(indices, strings_of, offset)
         if total:
             indices = list(compress(range(len(dense)), dense))
             yield None, None, joined(indices, list(map(coeff_of, filter(None, dense))), 0)

@@ -11,16 +11,15 @@ A mutant whose ``old`` text does not occur exactly once is an error, so a
 refactor that moves the code must port its mutants.  The named tests must
 pass on the unmutated copy first.
 
-    python tools/mutate.py            # every mutant
-    python tools/mutate.py csv-keeps-empty-blocks ...
+    python tools/mutate.py
 
+runs every mutant, each test run with a timeout of ``TIMEOUT`` seconds.
 Exits 0 when every mutant is killed, 1 when one survives, 2 on an error.
 Uses the standard library and pytest only.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -30,6 +29,7 @@ from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300  # seconds per test run
 Mutant = namedtuple("Mutant", "name file old new tests")
 
 REALIZATION = "curvemotives/realization.py"
@@ -41,8 +41,8 @@ MUTANTS = (
            "pq = (p + c + (b == 2), q + c - (b == 2))",
            ["tests/test_acceptance.py::test_criterion_13_symmetric_powers_past_2g"]),
     Mutant("json-unquoted-coefficient", REALIZATION,
-           """"json": ('[{},{},"'.format, '{}"]'.format, False)""",
-           """"json": ('[{},{},'.format, '{}]'.format, False)""",
+           """"json": ('[{},{},"'.format, '{}"]'.format,""",
+           """"json": ('[{},{},'.format, '{}]'.format,""",
            ["tests/test_realization.py::test_block_report_json_matches_the_reference_tree"]),
     Mutant("csv-p-q-swapped", REALIZATION,
            '"csv": ("{},{},".format',
@@ -63,20 +63,19 @@ MUTANTS = (
 )
 
 
-def _run(argv: list, src: Path, timeout: float) -> int | None:
+def _run(argv: list, src: Path) -> int | None:
     """Exit code of ``argv`` run at the repository root with ``src`` on the
     path, None if it timed out."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     try:
-        return subprocess.run(argv, cwd=ROOT, env=env, timeout=timeout,
+        return subprocess.run(argv, cwd=ROOT, env=env, timeout=TIMEOUT,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
     except subprocess.TimeoutExpired:
         return None
 
 
-def _pytest(tests: list, src: Path, timeout: float) -> int | None:
-    return _run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-                src, timeout)
+def _pytest(tests: list, src: Path) -> int | None:
+    return _run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests], src)
 
 
 def _copy(scratch: Path, mutant: Mutant | None = None) -> Path:
@@ -94,40 +93,31 @@ def _copy(scratch: Path, mutant: Mutant | None = None) -> Path:
     return src
 
 
-def main(argv: list | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=300, help="seconds per test run")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {mutant.name for mutant in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    mutants = [mutant for mutant in MUTANTS if not args.names or mutant.name in args.names]
-
+def main() -> int:
     survived = 0
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         scratch = Path(scratch)
         clean = _copy(scratch)
-        tests = sorted({test for mutant in mutants for test in mutant.tests})
-        if _pytest(tests, clean, args.timeout) != 0:
+        tests = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        if _pytest(tests, clean) != 0:
             print("error: the named tests do not pass on the unmutated source", file=sys.stderr)
             return 2
-        for mutant in mutants:
+        for mutant in MUTANTS:
             try:
                 src = _copy(scratch, mutant)
             except LookupError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            code = _pytest(mutant.tests, src, args.timeout)
+            code = _pytest(mutant.tests, src)
             if code not in (None, 0, 1):  # 1 is failed tests; the rest is collection or usage
                 print(f"error: {mutant.name}: pytest exited {code}", file=sys.stderr)
                 return 2
-            verify = _run([sys.executable, "-m", "curvemotives", "verify-theorem"], src, args.timeout)
+            verify = _run([sys.executable, "-m", "curvemotives", "verify-theorem"], src)
             outcome = ("killed (timeout)" if code is None else "survived" if code == 0 else "killed")
             survived += code == 0
             print(f"{mutant.name}: {outcome}; verify-theorem exit "
                   f"{'timeout' if verify is None else verify}", flush=True)
-    print(f"{len(mutants) - survived} of {len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
     return 1 if survived else 0
 
 
