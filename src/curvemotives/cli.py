@@ -33,7 +33,6 @@ from . import dsl
 from .core import MotiveClass
 from .formulas import _conjectural, _delbano, _proof_chain, sym_power_curve
 from .realization import (
-    BlockReport,
     _realize_in_order,
     atiyah_bott_oracle,
     block_decomposition_report,
@@ -339,8 +338,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         args,
         (block_decomposition_report(genus) for genus in range(lo, hi + 1)),
         text=lambda report: report.to_text(pairs),
-        # looked up per call: a wrapper set on the class is used
-        json_text=lambda report: BlockReport.to_json(report, pairs),
+        json_text=lambda report: report.to_json(pairs),
         header=("genus", "sym_power", "twist", "p", "q", "coeff"),
         csv_text=lambda report: report.to_csv(pairs),
         many=lo != hi,

@@ -10,6 +10,7 @@ format spec, so ``f"{p:x}"`` prints in x.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 CoeffsLike = Union[Mapping, Iterable]
@@ -224,7 +225,10 @@ class BiPolynomial(_Sparse):
 
     def max_exponent(self) -> int:
         """Largest exponent of u or v appearing; -1 for zero."""
-        return max((max(p, q) for p, q in self._coeffs), default=-1)
+        if not self._coeffs:
+            return -1
+        # the largest p leads the largest pair; the largest q is found by key
+        return max(max(self._coeffs)[0], max(self._coeffs, key=itemgetter(1))[1])
 
     def is_symmetric(self) -> bool:
         """Whether the coefficient of u^p v^q always equals that of u^q v^p."""

@@ -34,7 +34,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import compress
 from math import comb
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Iterator
 
 from .core import MotiveClass, _check_genus
@@ -233,14 +233,12 @@ def _monomial(p: int, q: int) -> str:
 
 
 # per format: how it prints an exponent pair and a coefficient, and how it
-# makes the terms from the picked pair strings and the coefficient strings;
-# "items" makes each term a ((p, q), coeff) pair of ints
+# makes the terms from the picked pair strings and the coefficient strings
 _FORMS = {
     "text": (_monomial, lambda c: "" if c == 1 else str(c),  # a unit coefficient is not printed
              lambda pairs, coeffs: map(add, coeffs, pairs)),
     "json": ('[{},{},"'.format, '{}"]'.format, lambda pairs, coeffs: map(add, pairs, coeffs)),
     "csv": ("{},{},".format, str, lambda pairs, coeffs: map(add, pairs, coeffs)),
-    "items": (lambda p, q: (p, q), int, zip),
 }
 
 
@@ -262,34 +260,26 @@ def pair_table(form: str, top: int) -> tuple:
     return width, step, strings
 
 
-def _pick(strings: list, indices: list, offset: int) -> tuple:
-    """The strings at ``indices`` moved by ``offset``, picked in C."""
-    if len(indices) > 1:
-        return itemgetter(*map(offset.__add__, indices))(strings)
-    return tuple(strings[i + offset] for i in indices)  # itemgetter of one index gives no tuple
-
-
 class BlockReport:
     """The symmetric-power decomposition of h(M_L) at one genus, realized in
     (u, v).  ``powers`` holds each h(C^(k)) once, as ``(k, twists, hodge)``:
     its Hodge polynomial and the twists t of its blocks h(C^(k)) (x) L^t.
 
-    Everything else is read through one generator, ``_rendered``, which
-    yields the terms of each block and then of the total in one format of
-    ``_FORMS``: ``to_text``, ``to_json`` and ``to_csv`` join its strings,
-    and ``blocks`` and ``total`` build polynomials from its "items".  It
-    takes a ``pair_table`` of its format that covers the report's exponents,
-    which a caller rendering many genera makes once, for the largest; by
-    default it makes the report's own.  Twisting shifts every pair by
-    (t, t), which moves its table index by the twist's offset and keeps the
-    order the format prints in, so each power's indices are sorted once,
-    and every block's terms are the table's strings at them moved by the
-    offset, joined with coefficient strings made once per power: the work
-    per term of a block is done in C.  The Hodge numbers of a genus repeat
-    (genus 2..30 has 2,389 distinct ones among 76,879 terms of its powers),
-    so a coefficient's string is made once per call.  Only one power's
-    strings are held at a time.  Every Hodge number is positive, so no term
-    prints a sign.
+    ``blocks`` and ``total`` read ``powers`` directly, shifting each pair.
+    ``to_text``, ``to_json`` and ``to_csv`` join the strings of one
+    generator, ``_rendered``, which yields the terms of each block and then
+    of the total in one format of ``_FORMS``.  It takes a ``pair_table`` of
+    its format that covers the report's exponents, which a caller rendering
+    many genera makes once, for the largest; by default it makes the
+    report's own.  Twisting shifts every pair by (t, t), which moves its
+    table index by the twist's offset and keeps the order the format prints
+    in, so each power's indices are sorted once, and every block's terms are
+    the table's strings at them moved by the offset, joined with coefficient
+    strings made once per power: the work per term of a block is done in C.
+    The Hodge numbers of a genus repeat (genus 2..30 has 2,389 distinct ones
+    among 76,879 terms of its powers), so a coefficient's string is made
+    once per call.  Only one power's strings are held at a time.  Every
+    Hodge number is positive, so no term prints a sign.
     """
 
     __slots__ = ("genus", "powers")
@@ -301,31 +291,31 @@ class BlockReport:
     @property
     def blocks(self) -> tuple:
         """The ``HodgeBlock`` of every (k, twist), in the order of ``powers``."""
-        return tuple(HodgeBlock(k, t, BiPolynomial._raw(dict(terms)))
-                     for k, t, terms in self._rendered("items", total=False))
+        return tuple(HodgeBlock(k, t, BiPolynomial._raw(
+                         {(p + t, q + t): c for (p, q), c in hodge._coeffs.items()}))
+                     for k, twists, hodge in self.powers for t in twists)
 
     @property
     def total(self) -> BiPolynomial:
         """The sum of the blocks: the Hodge polynomial of the moduli space."""
-        (_, _, terms), = self._rendered("items", blocks=False)
-        return BiPolynomial._raw(dict(terms))
+        coeffs: dict = {}
+        get = coeffs.get
+        for _, twists, hodge in self.powers:
+            for t in twists:
+                for (p, q), c in hodge._coeffs.items():
+                    pq = (p + t, q + t)
+                    coeffs[pq] = get(pq, 0) + c
+        return BiPolynomial._raw({pq: c for pq, c in coeffs.items() if c})
 
-    def _top(self) -> int:
-        """The largest exponent of u or v in any block, -1 if there is none."""
-        # the largest p leads the largest pair; the largest q is found by key
-        return max((max(max(hodge._coeffs)[0], max(hodge._coeffs, key=itemgetter(1))[1])
-                    + max(twists) for _, twists, hodge in self.powers if not hodge.is_zero),
-                   default=-1)
-
-    def _rendered(self, form: str, pairs: tuple = None,
-                  blocks: bool = True, total: bool = True) -> Iterator:
-        """With ``blocks`` ``(k, t, terms)`` for each block h(C^(k)) (x) L^t
-        in the order of ``powers``, then with ``total`` ``(None, None,
-        terms)`` for their sum: the terms in ``form``'s print order, each
-        its pair's string and its coefficient's joined as ``_FORMS`` says.
-        ``pairs`` is a ``pair_table`` of ``form`` that covers the report's
-        exponents, by default the report's own."""
-        top = self._top()
+    def _rendered(self, form: str, pairs: tuple = None, total: bool = True) -> Iterator:
+        """``(k, t, terms)`` for each block h(C^(k)) (x) L^t in the order of
+        ``powers``, then with ``total`` ``(None, None, terms)`` for their
+        sum: the terms in ``form``'s print order ("text", "json" or "csv"),
+        each its pair's string and its coefficient's joined as ``_FORMS``
+        says.  ``pairs`` is a ``pair_table`` of ``form`` that covers the
+        report's exponents, by default the report's own."""
+        top = max((hodge.max_exponent() + max(twists)
+                   for _, twists, hodge in self.powers if not hodge.is_zero), default=-1)
         if pairs is None:
             pairs = pair_table(form, top)
         elif top >= pairs[0]:
@@ -337,8 +327,7 @@ class BlockReport:
         dense = [0] * (top * shift + 1) if total else None  # the total, by index
 
         def joined(indices: list, coeffs: list, offset: int) -> list:
-            picked = _pick(strings, indices, offset)
-            terms = list(join(picked, coeffs))
+            terms = list(join(map(strings.__getitem__, map(offset.__add__, indices)), coeffs))
             if terms and not terms[0]:  # the text constant of coefficient 1: '' + ''
                 terms[0] = "1"
             return terms
@@ -353,8 +342,7 @@ class BlockReport:
                 if total:
                     for i, c in zip(indices, coeffs):
                         dense[i + offset] += c
-                if blocks:
-                    yield k, t, joined(indices, strings_of, offset)
+                yield k, t, joined(indices, strings_of, offset)
         if total:
             indices = list(compress(range(len(dense)), dense))
             yield None, None, joined(indices, list(map(coeff_of, filter(None, dense))), 0)

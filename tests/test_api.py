@@ -4,7 +4,7 @@ change this file as well."""
 import inspect
 
 import curvemotives
-from curvemotives import BlockReport, realization
+from curvemotives import BlockReport, HodgeBlock, MotiveClass, cli, realization
 
 
 def test_public_api_is_pinned():
@@ -30,3 +30,16 @@ def test_public_api_is_pinned():
         assert list(inspect.signature(getattr(BlockReport, name)).parameters) == ["self", "pairs"]
     assert list(inspect.signature(BlockReport.to_dict).parameters) == ["self"]
     assert list(inspect.signature(realization.pair_table).parameters) == ["form", "top"]
+
+
+def test_documented_names_are_pinned():
+    """The names the README documents beyond ``__all__``."""
+    assert callable(cli.build_parser) and callable(cli.main)
+    for name in ("rows", "items", "to_dict", "to_json", "__iter__", "__len__"):
+        assert inspect.isfunction(vars(MotiveClass)[name]), name
+    assert isinstance(vars(MotiveClass)["from_dict"], classmethod)
+    sym_power_curve = curvemotives.sym_power_curve
+    assert callable(sym_power_curve.cache_info) and callable(sym_power_curve.cache_clear)
+    assert HodgeBlock._fields == ("sym_power", "twist", "hodge")
+    assert HodgeBlock(1, 2, curvemotives.BiPolynomial.one()).label == "Sym(1)*L^2"
+    assert inspect.isfunction(vars(curvemotives.BiPolynomial)["max_exponent"])

@@ -185,6 +185,14 @@ def test_bipolynomial_symmetry_and_diagonal():
     assert p.max_exponent() == 1
 
 
+@given(_bi_coeffs)
+def test_bipolynomial_max_exponent_of_unsymmetric_polynomials(coeffs):
+    poly = BiPolynomial(coeffs)
+    assert poly.max_exponent() == max((max(p, q) for (p, q), _ in poly.items()), default=-1)
+    assert BiPolynomial.zero().max_exponent() == -1
+    assert BiPolynomial({(3, 0): 1, (0, 5): 1}).max_exponent() == 5
+
+
 @given(
     st.dictionaries(st.integers(min_value=0, max_value=12), _signed, max_size=8),
     st.sampled_from(["t", "x"]),

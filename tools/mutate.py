@@ -32,10 +32,87 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 300  # seconds per test run
 Mutant = namedtuple("Mutant", "name file old new tests")
 
+CORE = "curvemotives/core.py"
+FORMULAS = "curvemotives/formulas.py"
+POLYNOMIALS = "curvemotives/polynomials.py"
 REALIZATION = "curvemotives/realization.py"
+CLI = "curvemotives/cli.py"
 RENDERS = "tests/test_realization.py::test_block_report_renders_as_the_references"
+CACHES = "tests/test_formulas.py::test_formulas_caches_are_bounded"
+CRITERION = "tests/test_acceptance.py::test_criterion_"
+
 
 MUTANTS = (
+    Mutant("tensor-zero-guard-dropped", CORE,
+           "    if b.is_zero:\n        return zero(genus)\n",
+           "",
+           [CRITERION + "01_main_decomposition"]),
+    Mutant("tate-keeps-empty-row", FORMULAS,
+           "{0: counts} if counts else {}",
+           "{0: counts}",
+           [CRITERION + "01_main_decomposition"]),
+    Mutant("direct-sum-shares-rows", CORE,
+           "merged = dict(rows.get(index, ()))",
+           "merged = rows.setdefault(index, {})",
+           [CRITERION + "10_cli_contract"]),
+    Mutant("blocks-twist-off-by-one", FORMULAS,
+           "3 * genus - 3 - 2 * k",
+           "3 * genus - 2 - 2 * k",
+           [CRITERION + "01_main_decomposition"]),
+    Mutant("bracket-end-mark-shifted", FORMULAS,
+           "marks[3 * m - j + 1]",
+           "marks[3 * m - j]",
+           [CRITERION + "02_proof_chain"]),
+    Mutant("sym-power-rows-past-2g", FORMULAS,
+           "range(min(n, 2 * genus) + 1)",
+           "range(n + 1)",
+           ["tests/test_core.py::test_every_builder_keeps_the_row_invariants"]),
+    Mutant("sym-power-cached", FORMULAS,
+           "@lru_cache(maxsize=0)",
+           "@lru_cache(maxsize=128)",
+           [CACHES]),
+    Mutant("delbano-cache-unbounded", FORMULAS,
+           "@lru_cache(maxsize=32)  # bounded",
+           "@lru_cache(maxsize=None)  # bounded",
+           [CACHES]),
+    Mutant("conjectural-cache-unbounded", FORMULAS,
+           "@lru_cache(maxsize=32)\ndef moduli_motive_conjectural",
+           "@lru_cache(maxsize=None)\ndef moduli_motive_conjectural",
+           [CACHES]),
+    Mutant("verify-reads-cached-forms", CLI,
+           "from .formulas import _conjectural, _delbano,",
+           "from .formulas import moduli_motive_conjectural as _conjectural, "
+           "moduli_motive_delbano as _delbano,",
+           ["tests/test_cli.py::test_verify_theorem_range_peaks_below_twice_its_last_genus"]),
+    Mutant("int-hash-dropped", POLYNOMIALS,
+           "    __hash__ = _Sparse.__hash__  # defining __eq__ would otherwise unset it\n\n"
+           '    def __add__(self, other: "IntPolynomial")',
+           '    def __add__(self, other: "IntPolynomial")',
+           ["tests/test_polynomials.py::test_ring_laws"]),
+    Mutant("format-ignores-var", POLYNOMIALS,
+           'var or "t", "")',
+           '"t", "")',
+           ["tests/test_cli.py::test_identity_single_m_shows_both_sides"]),
+    Mutant("atiyah-bott-denominator-signs", REALIZATION,
+           "{0: 1, 2: -1, 4: -1, 6: 1}",
+           "{0: 1, 2: -1, 4: 1, 6: -1}",
+           [CRITERION + "04_atiyah_bott_oracle"]),
+    Mutant("macdonald-binomial-shifted", REALIZATION,
+           "current[n] += comb(top, n)",
+           "current[n] += comb(top, n - 1)",
+           [CRITERION + "05_macdonald_oracle"]),
+    Mutant("blocks-shift-q-dropped", REALIZATION,
+           "{(p + t, q + t): c for",
+           "{(p + t, q): c for",
+           [CRITERION + "08_block_decomposition"]),
+    Mutant("total-shift-q-dropped", REALIZATION,
+           "pq = (p + t, q + t)",
+           "pq = (p + t, q)",
+           [CRITERION + "08_block_decomposition"]),
+    Mutant("max-exponent-ignores-q", POLYNOMIALS,
+           "return max(max(self._coeffs)[0], max(self._coeffs, key=itemgetter(1))[1])",
+           "return max(self._coeffs)[0]",
+           ["tests/test_polynomials.py::test_bipolynomial_max_exponent_of_unsymmetric_polynomials"]),
     Mutant("hodge-weight-shift", REALIZATION,
            "pq = (p + c, q + c)",
            "pq = (p + c + (b == 2), q + c - (b == 2))",
