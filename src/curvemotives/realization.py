@@ -6,9 +6,10 @@ Both are additive in the motive and multiplicative where the tensor
 product is defined.
 
 Additivity lets ``_realize_in_order`` realize a sequence of motives of one
-genus, such as Sym^0, Sym^1, ..., as a running sum: each result is the
-previous one plus the realization of the terms that changed.  It finds them
-by comparing every row with the previous motive's row, reading every term,
+genus, such as Sym^0, Sym^1, ..., as a running sum, by one rule: a motive
+that only grew from the one before, each old row again with exactly one
+new term, inserted last, is the previous result plus the new terms, and
+any other is realized afresh.  It reads every term to tell them apart,
 instead of trusting how the motives were built, so a wrong term in any one
 motive still changes that motive's result.  ``decompose`` and the Macdonald
 check of ``verify-theorem`` use it, and ``poincare_polynomial`` and
@@ -54,9 +55,9 @@ def hodge_polynomial(motive: MotiveClass) -> BiPolynomial:
 
 def _betti_rows(genus: int):
     """``add(coeffs, b, terms)`` for the Betti realization: adds that of
-    sum mult lam^b h1 (x) L^c over the (c, mult) pairs of ``terms``.  It
-    keeps a coefficient that reaches 0; with positive multiplicities none
-    can, since every b <= 2g has a positive weight."""
+    sum mult lam^b h1 (x) L^c over the (c, mult) pairs of ``terms``.  The
+    kernel only adds, and every multiplicity and weight is positive (as
+    b <= 2g), so no coefficient reaches 0."""
     def add(coeffs: dict, b: int, terms) -> None:
         weight = comb(2 * genus, b)
         get = coeffs.get
@@ -86,12 +87,13 @@ def _hodge_rows(genus: int):
 
 def _realize_in_order(motives: Iterable, hodge: bool = False) -> Iterator:
     """The Poincare polynomial, or with ``hodge`` the Hodge polynomial, of
-    each motive of ``motives``, all of one genus, in order (see the module
-    docstring).  From Sym^(n-1) to Sym^n each row gains one term, so a step
-    realizes one term per row instead of the whole motive.  ``motives`` is
-    read lazily and only the previous motive's rows are held.  A step that
-    only adds keeps every coefficient positive; one that subtracts drops
-    the coefficients it brought to 0.
+    each motive of ``motives``, all of one genus, in order: a motive in
+    which every row of the one before is found again with exactly one new
+    term, inserted last, and any other row is new, is the previous result
+    plus the new terms; any other is realized afresh, through the same
+    adder.  From Sym^(n-1) to Sym^n each row gains one term, so such a step
+    realizes one term per row.  ``motives`` is read lazily and only the
+    previous motive's rows are held.
     """
     coeffs: dict = {}
     before: dict = {}
@@ -99,28 +101,18 @@ def _realize_in_order(motives: Iterable, hodge: bool = False) -> Iterator:
     for motive in motives:
         if add is None:
             add = (_hodge_rows if hodge else _betti_rows)(motive.genus)
-        coeffs = dict(coeffs)
         now = dict(motive.rows())
-        lost = False
-        for b, row in now.items():
-            old = before.pop(b, None)
-            if old is None:
-                add(coeffs, b, row)
-            elif len(row) == len(old) + 1 and old <= row:  # one term more
-                new = next(reversed(row))
-                if new in old:
-                    (new,) = row - old
-                add(coeffs, b, (new,))
-            else:
-                gone = old - row
-                if gone:
-                    lost = True
-                    add(coeffs, b, [(c, -mult) for c, mult in gone])
-                add(coeffs, b, row - old)
-        for b, old in before.items():  # rows that vanished
-            add(coeffs, b, [(c, -mult) for c, mult in old])
-        if lost or before:
-            coeffs = {key: value for key, value in coeffs.items() if value}
+        gained = dict(now)  # row b -> the terms to add
+        for b, old in before.items():
+            row = now.get(b, ())  # a vanished row has one term too few
+            if len(row) != len(old) + 1 or not old <= row or (last := next(reversed(row))) in old:
+                coeffs, gained = {}, now  # afresh
+                break
+            gained[b] = (last,)
+        else:
+            coeffs = dict(coeffs)  # the previous result owns its dict
+        for b, terms in gained.items():
+            add(coeffs, b, terms)
         before = now
         yield BiPolynomial._raw(coeffs) if hodge else IntPolynomial._raw(coeffs)
 

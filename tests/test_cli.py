@@ -16,7 +16,7 @@ from curvemotives import cli, formulas
 from curvemotives.cli import build_parser, main
 from curvemotives.core import MotiveClass
 from curvemotives.dsl import print_expr
-from helpers import ALTERATIONS, altered_motive, altered_rows, expressions
+from helpers import ALTERATIONS, altered_motive, altered_rows, expressions, mutated_identity_lhs
 
 EVAL_SYM0 = '{"genus":2,"terms":[{"lambda":0,"lefschetz":0,"mult":"1"}]}\n'
 
@@ -157,7 +157,7 @@ def test_verify_theorem_text(capsys):
 def test_verify_theorem_reports_an_altered_symmetric_power(capsys, monkeypatch, n, kind):
     """At genus 3, Sym^n alone gains, loses or reweights one term, in each of
     its rows in turn: the Macdonald check must fail at index n and nowhere
-    before it, whatever the other powers are."""
+    before it, whatever the other powers are, in json and in text."""
     motive = formulas.sym_power_curve(n, 3)
     for b in altered_rows(motive, kind):
         altered = altered_motive(motive, b, kind)
@@ -168,12 +168,15 @@ def test_verify_theorem_reports_an_altered_symmetric_power(capsys, monkeypatch, 
         code, out, _ = run(capsys, "verify-theorem", "--genus", "3", "--json")
         failure = {"genus": 3, "check": "macdonald", "index": n}
         assert (code, json.loads(out)["first_failure"]) == (1, failure), (b, kind)
+        code, out, _ = run(capsys, "verify-theorem", "--genus", "3")
+        assert (code, out.splitlines()[-1]) == (1, f"FAILED: g=3 check=macdonald at index {n}")
 
 
 @pytest.mark.parametrize("kind", ALTERATIONS)
 def test_verify_theorem_reports_an_altered_symmetric_power_form(capsys, monkeypatch, kind):
     """At genus 3, the symmetric-power form gains, loses or reweights one
-    term, in each of its rows in turn: the first failure is the main equality."""
+    term, in each of its rows in turn: the first failure is the main
+    equality, which has no index, in json and in text."""
     motive = formulas.moduli_motive_conjectural(3)
     for b in altered_rows(motive, kind):
         altered = altered_motive(motive, b, kind)
@@ -181,12 +184,30 @@ def test_verify_theorem_reports_an_altered_symmetric_power_form(capsys, monkeypa
         code, out, _ = run(capsys, "verify-theorem", "--genus", "3", "--json")
         failure = {"genus": 3, "check": "main_equality", "index": None}
         assert (code, json.loads(out)["first_failure"]) == (1, failure), (b, kind)
+        code, out, _ = run(capsys, "verify-theorem", "--genus", "3")
+        assert (code, out.splitlines()[-1]) == (1, "FAILED: g=3 check=main_equality")
 
 
 def test_identity_single_m_shows_both_sides(capsys):
     code, out, _ = run(capsys, "identity", "--m-min", "1", "--m-max", "1")
     assert code == 0
     assert "m=1: ok  both sides: 1 + x + x^2 + x^3" in out
+
+
+def test_identity_reports_a_mutated_side(capsys, monkeypatch):
+    """With the left side of m = 2 bumped by one term, its row shows both
+    sides, the last line names m = 2 and the exit is 1."""
+    sides = cli.key_identity_sides
+    monkeypatch.setattr(cli, "key_identity_sides", lambda m: (
+        (mutated_identity_lhs(m), sides(m)[1]) if m == 2 else sides(m)))
+    code, out, _ = run(capsys, "identity", "--m-min", "1", "--m-max", "3")
+    lhs, rhs = mutated_identity_lhs(2), sides(2)[1]
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        f"m=2: FAIL  lhs: {lhs:x}  rhs: {rhs:x}",
+        f"m=3: ok  both sides: {sides(3)[0]:x}",
+        "FAILED at m=2",
+    ]
 
 
 def test_identity_m_zero_usage_error(capsys):

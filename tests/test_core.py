@@ -182,6 +182,17 @@ def test_multiplicity_of_malformed_key_raises_value_error(key):
         MotiveClass(2, {(0, 1): 1}).multiplicity(key)
 
 
+def test_multiplicity_len_hash_and_repr():
+    m = MotiveClass(2, {(1, 2): 3, (0, 0): 1, (0, 4): 2})
+    assert [m.multiplicity(key) for key in ((1, 2), (0, 4), (0, 1), (3, 0))] == [3, 2, 0, 0]
+    assert m.multiplicity(BasisKey(0, 0)) == 1
+    assert (len(m), len(zero(2))) == (3, 0)
+    same = MotiveClass(2, [((0, 4), 2), ((0, 0), 1), ((1, 2), 3)])
+    assert hash(m) == hash(same) and len({m, same, zero(2)}) == 2
+    assert repr(m) == "MotiveClass(genus=2, terms={(0, 0): 1, (0, 4): 2, (1, 2): 3})"
+    assert eval(repr(m)) == m
+
+
 def test_items_sorted_lexicographically():
     m = MotiveClass(2, {(2, 0): 1, (0, 3): 2, (0, 1): 1, (1, 1): 4})
     assert [tuple(k) for k, _ in m.items()] == [(0, 1), (0, 3), (1, 1), (2, 0)]

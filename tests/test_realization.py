@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import curvemotives
 from curvemotives import (
     MotiveClass,
     atiyah_bott_oracle,
@@ -25,13 +26,15 @@ from curvemotives import (
     tensor,
     verify_key_identity,
 )
-from curvemotives import cli, realization
+from curvemotives import cli, core, formulas, realization
 from curvemotives.realization import _realize_in_order, pair_table
 from curvemotives.polynomials import BiPolynomial, IntPolynomial
 from helpers import (
     ALTERATIONS,
     altered_motive,
     altered_rows,
+    atiyah_bott_hodge_numerator,
+    hodge_macdonald_series,
     motive_pairs,
     motives,
     mutated_identity_lhs,
@@ -169,10 +172,11 @@ def test_realizing_in_order_equals_realizing_each(sequence):
 
 
 def test_realizing_in_order_after_steps_that_subtract():
-    """Steps that take terms away bring coefficients to 0, which must be
-    dropped.  At genus 2: Sym^5 -> Sym^4 (every row loses its top term),
-    Sym^4 -> Sym^3 -> Sym^2 (row 4, then row 3 vanishes too), a
-    multiplicity raised and lowered again, and Sym^2 -> the zero motive."""
+    """Steps that take terms away are not growth, so each is realized
+    afresh, with no coefficient 0.  At genus 2: Sym^5 -> Sym^4 (every row
+    loses its top term), Sym^4 -> Sym^3 -> Sym^2 (row 4, then row 3
+    vanishes too), a multiplicity raised and lowered again, and Sym^2 ->
+    the zero motive."""
     powers = [sym_power_curve(n, 2) for n in (5, 4, 3, 2)]
     terms = dict(powers[-1].items())
     terms[(0, 0)] = 2
@@ -192,6 +196,85 @@ def test_realizing_in_order_reads_the_motives_lazily():
         results = _realize_in_order(powers(), hodge=hodge)
         assert next(results) == (reference_hodge if hodge else reference_poincare)(
             sym_power_curve(0, 2))
+
+
+SYM = [sym_power_curve(n, 2) for n in range(4)]
+# each is a step that is not growth, after a run that is
+NOT_GROWTH = {
+    "a new term not last": [*SYM, MotiveClass(2, {(0, 0): 1, (0, 9): 1}),
+                            MotiveClass(2, {(0, 8): 1, (0, 0): 1, (0, 9): 1})],
+    "an old term reweighted": [*SYM, MotiveClass(2, {(0, 0): 1}),
+                               MotiveClass(2, {(0, 0): 2, (0, 1): 1})],
+    "a row vanished": [*SYM, MotiveClass(2, {(0, 0): 1, (1, 0): 1}),
+                       MotiveClass(2, {(0, 0): 1, (0, 1): 1})],
+    "a term lost": [*SYM, SYM[2]],
+}
+
+
+@pytest.mark.parametrize("name", NOT_GROWTH)
+def test_realizing_in_order_goes_afresh_unless_every_row_grew(name):
+    """Sym^0..Sym^3 grow, and every result is kept, so a step that changed
+    the previous result fails here; then one step misses the growth rule
+    in the way its name says, so it must go afresh."""
+    sequence = NOT_GROWTH[name]
+    assert list(_realize_in_order(iter(sequence))) == [reference_poincare(m) for m in sequence]
+    assert list(_realize_in_order(iter(sequence), hodge=True)) == [
+        reference_hodge(m) for m in sequence
+    ]
+
+
+@pytest.mark.parametrize("hodge", [False, True])
+def test_realizing_symmetric_powers_adds_one_term_per_row(monkeypatch, hodge):
+    """Along Sym^0..Sym^2g at genus 3 (the Macdonald check's powers) and the
+    powers of the genus-3 block report, every row of each Sym^n, grown or
+    new, gets exactly one term from the adder: no step goes afresh."""
+    added = []
+
+    def counting(rows):
+        def make(genus):
+            add = rows(genus)
+
+            def counted(coeffs, b, terms):
+                terms = list(terms)
+                added.append((b, len(terms)))
+                add(coeffs, b, terms)
+            return counted
+        return make
+
+    monkeypatch.setattr(realization, "_betti_rows", counting(realization._betti_rows))
+    monkeypatch.setattr(realization, "_hodge_rows", counting(realization._hodge_rows))
+    powers = [sym_power_curve(n, 3) for n in range(7)]
+    reference = reference_hodge if hodge else reference_poincare
+    assert list(_realize_in_order(iter(powers), hodge)) == list(map(reference, powers))
+    assert added == [(b, 1) for n in range(7) for b in range(n + 1)]
+    added.clear()
+    block_decomposition_report(3)
+    assert added == [(b, 1) for k in range(3) for b in range(k + 1)]
+
+
+def test_oracles_never_touch_the_motive_algebra(monkeypatch):
+    """The Poincare oracles of ``realization`` and the Hodge ones of the test
+    helpers return the same values with the kernel, its adders, the closed
+    forms, ``sym_power_curve``, ``tensor`` and ``direct_sum`` made to raise."""
+    def oracles():
+        return [(atiyah_bott_oracle(g), macdonald_series(g, 2 * g),
+                 atiyah_bott_hodge_numerator(g), hodge_macdonald_series(g, 2 * g))
+                for g in range(2, 7)]
+
+    expected = oracles()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle used the motive algebra")
+
+    names = ("_realize_in_order", "_betti_rows", "_hodge_rows", "_delbano", "_conjectural",
+             "sym_power_curve", "tensor", "direct_sum")
+    for module in (curvemotives, core, formulas, realization, cli):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError, match="motive algebra"):
+        poincare_polynomial(lefschetz(2))
+    assert oracles() == expected
 
 
 @pytest.mark.parametrize("genus", range(2, 9))

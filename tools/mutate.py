@@ -40,6 +40,7 @@ CLI = "curvemotives/cli.py"
 RENDERS = "tests/test_realization.py::test_block_report_renders_as_the_references"
 CACHES = "tests/test_formulas.py::test_formulas_caches_are_bounded"
 CRITERION = "tests/test_acceptance.py::test_criterion_"
+AFRESH = "tests/test_realization.py::test_realizing_in_order_goes_afresh_unless_every_row_grew"
 
 
 MUTANTS = (
@@ -133,6 +134,38 @@ MUTANTS = (
            'terms[0] = "1"',
            'terms[0] = ""',
            [RENDERS]),
+    Mutant("kernel-subset-check-dropped", REALIZATION,
+           "or not old <= row or",
+           "or",
+           [AFRESH]),
+    Mutant("kernel-last-item-check-dropped", REALIZATION,
+           "(last := next(reversed(row))) in old:",
+           "(last := next(reversed(row))) in ():",
+           [AFRESH]),
+    Mutant("kernel-afresh-skipped", REALIZATION,
+           "coeffs, gained = {}, now  # afresh\n                break",
+           "continue",
+           [AFRESH]),
+    Mutant("kernel-result-not-copied", REALIZATION,
+           "coeffs = dict(coeffs)  # the previous result",
+           "coeffs = coeffs  # the previous result",
+           [AFRESH]),
+    Mutant("kernel-ignores-vanished-rows", REALIZATION,
+           "        row = now.get(b, ())  # a vanished row has one term too few\n",
+           "        row = now.get(b)\n        if row is None:\n            continue\n",
+           [AFRESH]),
+    Mutant("merge-keeps-zeros", POLYNOMIALS,
+           "        if new:\n            coeffs[key] = new\n        else:\n            del coeffs[key]\n",
+           "        coeffs[key] = new\n",
+           ["tests/test_polynomials.py::test_divmod_exact_monic"]),
+    Mutant("merge-ignores-scale", POLYNOMIALS,
+           "new = get(key, 0) + scale * c",
+           "new = get(key, 0) + c",
+           ["tests/test_polynomials.py::test_arithmetic_small"]),
+    Mutant("sparse-slots-dropped", POLYNOMIALS,
+           '    __slots__ = ("_coeffs",)\n',
+           "",
+           ["tests/test_polynomials.py::test_construction_drops_zeros_and_accumulates"]),
     Mutant("csv-keeps-empty-blocks", REALIZATION,
            "            if terms:\n                start = ",
            "            if True:\n                start = ",
