@@ -274,8 +274,8 @@ def cmd_identity(args: argparse.Namespace) -> int:
             "m_min": args.m_min,
             "m_max": args.m_max,
             "results": [
-                {"m": m, "ok": ok, "lhs": f"{lhs:x}", "rhs": f"{rhs:x}"}
-                for m, lhs, rhs, ok in results
+                {"m": m, "ok": ok, "lhs": (text := f"{lhs:x}"), "rhs": text if ok else f"{rhs:x}"}
+                for m, lhs, rhs, ok in results  # equal sides print the same text
             ],
             "all_pass": first_bad is None,
         }),

@@ -6,6 +6,13 @@ keep that coefficient dict, and read it alike, through the private base
 :class:`_Sparse`.  An :class:`IntPolynomial` holds no variable name: the
 letter is chosen when printing, t by ``str`` and any other through the
 format spec, so ``f"{p:x}"`` prints in x.
+
+``IntPolynomial`` multiplies by Kronecker substitution: both operands,
+shifted down to exponent 0, are packed as ints with one field of bytes per
+exponent, wide enough for any product coefficient and its sign; one
+big-integer product is read back field by field.  Operands so spread out
+that the product spans more exponents than the schoolbook loop has term
+products, such as (1 + t^(10^9))^2, take that loop instead.
 """
 
 from __future__ import annotations
@@ -44,6 +51,17 @@ def _merge(coeffs: dict, terms: Iterable, scale: int = 1) -> dict:
         else:
             del coeffs[key]
     return coeffs
+
+
+def _pack(coeffs: dict, low: int, width: int, half: int) -> int:
+    """The sum of c * 2^(8 * width * (e - low)) over the terms c t^e of
+    ``coeffs``, each |c| below ``half``, the middle of a field of ``width``
+    bytes: every field, gaps included, is written as c + half, which is never
+    negative, and the halves are taken off all fields at once."""
+    get = coeffs.get
+    fields = [(get(e, 0) + half).to_bytes(width, "little") for e in range(low, max(coeffs) + 1)]
+    halves = half.to_bytes(width, "little") * len(fields)
+    return int.from_bytes(b"".join(fields), "little") - int.from_bytes(halves, "little")
 
 
 def _join_signed(terms: Iterable, u: str, v: str) -> str:
@@ -149,10 +167,27 @@ class IntPolynomial(_Sparse):
         return IntPolynomial._raw(_merge(dict(self._coeffs), other._coeffs.items(), -1))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        a, b = self._coeffs, other._coeffs
+        if a and b:
+            low_a, low_b = min(a), min(b)
+            span = max(a) - low_a + max(b) - low_b
+            if span < len(a) * len(b):  # Kronecker substitution (module docstring)
+                bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+                width = (bound.bit_length() + 8) // 8  # bytes a field, with a bit for the sign
+                half = 1 << (8 * width - 1)
+                product = _pack(a, low_a, width, half) * _pack(b, low_b, width, half)
+                halves = half.to_bytes(width, "little") * (span + 1)
+                fields = (product + int.from_bytes(halves, "little")).to_bytes(len(halves), "little")
+                read = int.from_bytes
+                return IntPolynomial._raw({
+                    e: c - half
+                    for e, i in enumerate(range(0, len(fields), width), low_a + low_b)
+                    if (c := read(fields[i:i + width], "little")) != half
+                })
         coeffs: dict = {}
         get = coeffs.get
-        right = other._coeffs.items()
-        for e1, c1 in self._coeffs.items():
+        right = b.items()
+        for e1, c1 in a.items():
             for e2, c2 in right:
                 e = e1 + e2
                 coeffs[e] = get(e, 0) + c1 * c2

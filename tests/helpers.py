@@ -7,6 +7,7 @@ import io
 import json
 import random
 from collections import namedtuple
+from itertools import accumulate
 from math import comb
 
 import hypothesis.strategies as st
@@ -238,15 +239,16 @@ def altered_motive(motive: MotiveClass, b: int, kind: str) -> MotiveClass:
 
 
 def mutated_identity_lhs(m: int) -> IntPolynomial:
-    """Left side of the key identity with x^(3m-2j+c) bumped by one."""
-    coeffs: dict = {}
+    """Left side of the key identity with x^(3m-2j+c) bumped by one.  Each
+    sum over c is a run of exponents, counted by marking its two ends."""
+    runs = [(m, 2 * m)]
     for j in range(0, m):
-        for c in range(0, j + 1):
-            for e in (j + c, 3 * m - 2 * j + c + 1):
-                coeffs[e] = coeffs.get(e, 0) + 1
-    for c in range(0, m + 1):
-        coeffs[m + c] = coeffs.get(m + c, 0) + 1
-    return IntPolynomial(coeffs)
+        runs += [(j, 2 * j), (3 * m - 2 * j + 1, 3 * m - j + 1)]
+    marks = [0] * (3 * m + 3)
+    for low, high in runs:
+        marks[low] += 1
+        marks[high + 1] -= 1
+    return IntPolynomial(enumerate(accumulate(marks)))
 
 
 # --- independent termwise oracle for the reindexed bracket --------------------
@@ -468,6 +470,18 @@ def reference_block_report_dict(report) -> dict:
         ],
         "total": triples(report.total),
     }
+
+
+# --- schoolbook reference for the polynomial product ---------------------------
+
+def reference_int_product(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """a * b by the schoolbook double loop: one multiply-add for each pair of
+    terms, whatever the exponents."""
+    coeffs: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + c1 * c2
+    return IntPolynomial(coeffs)
 
 
 # --- reference polynomial printers --------------------------------------------

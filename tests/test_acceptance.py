@@ -37,6 +37,7 @@ from helpers import (
 
 GENUS_RANGE = range(2, 31)
 WIDE_GENUS_RANGE = range(2, 61)
+IDENTITY_RANGE = range(1, 401)
 
 
 def _report(criterion: str, ok: bool) -> None:
@@ -55,8 +56,8 @@ def test_criterion_02_proof_chain():
 
 
 def test_criterion_03_key_identity():
-    ok = all(verify_key_identity(m) for m in range(1, 101))
-    _report("criterion 3: Lefschetz-power identity holds for m = 1..100 (division-free)", ok)
+    ok = all(verify_key_identity(m) for m in IDENTITY_RANGE)
+    _report("criterion 3: Lefschetz-power identity holds for m = 1..400 (division-free)", ok)
 
 
 def test_criterion_04_atiyah_bott_oracle():
@@ -98,9 +99,9 @@ def test_criterion_07_mutation_sensitivity():
     ok = all(mutated_conjectural(g) != moduli_motive_delbano(g) for g in GENUS_RANGE)
     ok = ok and all(
         mutated_identity_lhs(m) != IntPolynomial.geometric(m) * IntPolynomial.geometric(2 * m, step=2)
-        for m in range(1, 101)
+        for m in IDENTITY_RANGE
     )
-    _report("criterion 7: mutated exponents are detected for every genus 2..30 and m 1..100", ok)
+    _report("criterion 7: mutated exponents are detected for every genus 2..30 and m 1..400", ok)
 
 
 def test_criterion_08_block_decomposition():

@@ -196,7 +196,8 @@ def test_identity_single_m_shows_both_sides(capsys):
 
 def test_identity_reports_a_mutated_side(capsys, monkeypatch):
     """With the left side of m = 2 bumped by one term, its row shows both
-    sides, the last line names m = 2 and the exit is 1."""
+    sides, the last line names m = 2 and the exit is 1; in JSON, m = 2
+    carries its two distinct sides."""
     sides = cli.key_identity_sides
     monkeypatch.setattr(cli, "key_identity_sides", lambda m: (
         (mutated_identity_lhs(m), sides(m)[1]) if m == 2 else sides(m)))
@@ -208,6 +209,11 @@ def test_identity_reports_a_mutated_side(capsys, monkeypatch):
         f"m=3: ok  both sides: {sides(3)[0]:x}",
         "FAILED at m=2",
     ]
+    code, out, _ = run(capsys, "identity", "--m-min", "1", "--m-max", "3", "--format", "json")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results[1] == {"m": 2, "ok": False, "lhs": f"{lhs:x}", "rhs": f"{rhs:x}"}
+    assert results[2] == {"m": 3, "ok": True, "lhs": f"{sides(3)[0]:x}", "rhs": f"{sides(3)[1]:x}"}
 
 
 def test_identity_m_zero_usage_error(capsys):

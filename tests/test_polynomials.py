@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 
 from curvemotives.polynomials import BiPolynomial, IntPolynomial
-from helpers import int_polynomials, reference_bi_str, reference_int_str
+from helpers import int_polynomials, reference_bi_str, reference_int_product, reference_int_str
 
 # signed coefficients: units are drawn often, since they print without a digit
 _signed = st.one_of(
@@ -133,6 +133,66 @@ def test_ring_laws(a, b, c):
     assert (a - b) + b == a
     assert hash(a + b) == hash(b + a) and len({a + b, b + a}) == 1
     assert eval(repr(a), {"IntPolynomial": IntPolynomial}) == a
+
+
+# coefficients at the edges of one- and eight-byte fields, signed
+_FIELD_EDGES = (2**7 - 1, -(2**7 - 1), -(2**7), 2**7, 2**8 - 1, 2**63, -(2**63), 2**64 - 1)
+
+# an operand: consecutive exponents (dense, one big-integer product) or
+# exponents up to 10^9 (spread out, the schoolbook loop), shifted up by a
+# lowest exponent
+_product_coefficients = st.one_of(_signed, st.sampled_from(_FIELD_EDGES))
+_product_operands = st.builds(
+    lambda low, terms: IntPolynomial({low + e: c for e, c in terms}),
+    st.one_of(st.just(0), st.integers(min_value=1, max_value=10**9)),
+    st.one_of(
+        st.lists(_product_coefficients, max_size=12).map(lambda coeffs: list(enumerate(coeffs))),
+        st.dictionaries(
+            st.integers(min_value=0, max_value=10**9), _product_coefficients, max_size=12
+        ).map(lambda coeffs: list(coeffs.items())),
+    ),
+)
+
+# times a unit monomial, an operand's largest coefficient is the product's bound
+_unit_monomials = st.builds(
+    IntPolynomial.monomial, st.integers(min_value=0, max_value=10**9), st.sampled_from([1, -1])
+)
+
+
+@given(_product_operands, st.one_of(_product_operands, _unit_monomials))
+def test_product_matches_the_schoolbook_reference(a, b):
+    assert a * b == reference_int_product(a, b)
+
+
+_t = IntPolynomial.monomial(1)
+
+
+@pytest.mark.parametrize(
+    "a, b, product",
+    [
+        (IntPolynomial.zero(), IntPolynomial({0: 1, 1: 1}), IntPolynomial.zero()),
+        (IntPolynomial({3: -5, 4: 1}), IntPolynomial.zero(), IntPolynomial.zero()),
+        (IntPolynomial.monomial(5, 3), IntPolynomial({0: 1, 1: 2}), IntPolynomial({5: 3, 6: 6})),
+        (IntPolynomial.monomial(2, -4), IntPolynomial.monomial(7, 6), IntPolynomial.monomial(9, -24)),
+        (IntPolynomial.one() - _t, IntPolynomial.one() + _t, IntPolynomial({0: 1, 2: -1})),
+        (IntPolynomial({3: 1, 4: -1}), IntPolynomial({5: 1, 6: 1}), IntPolynomial({8: 1, 10: -1})),
+        (IntPolynomial.monomial(0, 2**7 - 1), IntPolynomial.one(), IntPolynomial.monomial(0, 2**7 - 1)),
+        (IntPolynomial.monomial(1, -(2**7 - 1)), _t, IntPolynomial.monomial(2, -(2**7 - 1))),
+        (IntPolynomial.monomial(0, -(2**7)), IntPolynomial.one(), IntPolynomial.monomial(0, -(2**7))),
+        (IntPolynomial.monomial(0, 2**63), IntPolynomial.one(), IntPolynomial.monomial(0, 2**63)),
+        (IntPolynomial({0: 2**63, 1: -(2**63)}), IntPolynomial({0: 1, 1: 1}),
+         IntPolynomial({0: 2**63, 2: -(2**63)})),
+        (IntPolynomial({0: 1, 10**9: 1}), IntPolynomial({0: 1, 10**9: 1}),
+         IntPolynomial({0: 1, 10**9: 2, 2 * 10**9: 1})),
+    ],
+)
+def test_product_edge_cases(a, b, product):
+    """A zero operand, monomials, cancellation, nonzero lowest exponents,
+    coefficients at the edges of a one- and an eight-byte field, and
+    spread-out operands."""
+    assert a * b == product
+    assert b * a == product
+    assert reference_int_product(a, b) == product
 
 
 @given(_bi_coeffs, _bi_coeffs, _bi_coeffs)

@@ -41,6 +41,8 @@ RENDERS = "tests/test_realization.py::test_block_report_renders_as_the_reference
 CACHES = "tests/test_formulas.py::test_formulas_caches_are_bounded"
 CRITERION = "tests/test_acceptance.py::test_criterion_"
 AFRESH = "tests/test_realization.py::test_realizing_in_order_goes_afresh_unless_every_row_grew"
+PRODUCT = ["tests/test_polynomials.py::test_product_matches_the_schoolbook_reference",
+           "tests/test_polynomials.py::test_product_edge_cases"]
 
 
 MUTANTS = (
@@ -166,6 +168,22 @@ MUTANTS = (
            '    __slots__ = ("_coeffs",)\n',
            "",
            ["tests/test_polynomials.py::test_construction_drops_zeros_and_accumulates"]),
+    Mutant("product-width-without-sign-bit", POLYNOMIALS,
+           "width = (bound.bit_length() + 8) // 8",
+           "width = (bound.bit_length() + 7) // 8",
+           PRODUCT),
+    Mutant("product-bias-dropped", POLYNOMIALS,
+           "fields = (product + int.from_bytes(halves, \"little\")).to_bytes(",
+           "fields = product.to_bytes(",
+           PRODUCT),
+    Mutant("product-shift-dropped", POLYNOMIALS,
+           "enumerate(range(0, len(fields), width), low_a + low_b)",
+           "enumerate(range(0, len(fields), width), low_a)",
+           PRODUCT),
+    Mutant("identity-json-rhs-reused", CLI,
+           '"rhs": text if ok else f"{rhs:x}"',
+           '"rhs": text',
+           ["tests/test_cli.py::test_identity_reports_a_mutated_side"]),
     Mutant("csv-keeps-empty-blocks", REALIZATION,
            "            if terms:\n                start = ",
            "            if True:\n                start = ",
